@@ -6,8 +6,10 @@
 //!
 //! 1. **BDD sweeping** (merge-phase tier 2): candidate equivalences between
 //!    cofactor sub-circuits are confirmed by building *size-bounded* BDDs
-//!    bottom-up from the AIG ([`BddManager::from_aig`] with a node limit) —
-//!    two nodes with the same BDD are equivalent, canonically.
+//!    bottom-up from the AIG ([`BddManager::from_aig_memo`] with a node
+//!    limit) — two nodes with the same BDD are equivalent, canonically.
+//!    One manager and one [`AigBddMemo`] serve a whole sweep, so a shared
+//!    sub-cone is built once however many candidate classes reach it.
 //! 2. **Baseline model checker**: the canonical state-set representation
 //!    the paper argues against; backward reachability over BDDs uses
 //!    [`BddManager::vector_compose`] (functional pre-image) and
@@ -39,8 +41,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use cbq_aig::{Aig, Lit, Node, Var};
 
@@ -76,6 +79,74 @@ impl fmt::Debug for BddRef {
     }
 }
 
+/// Multiply-rotate word hasher (the FxHash scheme) for the node tables.
+/// Their keys are a few small integers, where SipHash's flooding
+/// resistance buys nothing; the tables stay lossless maps, so results and
+/// node numbering do not depend on the hash.
+#[derive(Copy, Clone, Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves the high bits best mixed; the table indexes
+        // by the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+type WordSet<K> = HashSet<K, BuildHasherDefault<WordHasher>>;
+
+/// Memo slot of an AIG node whose BDD has not been built.
+const UNBUILT: BddRef = BddRef(u32::MAX);
+
+/// Level-map entry of a variable that has no level.
+const NO_LEVEL: u32 = u32::MAX;
+
+/// A dense AIG-node → BDD memo for [`BddManager::from_aig_memo`].
+///
+/// Entries are BDDs of one manager under one level map: keep the memo as
+/// long as both, and [`AigBddMemo::clear`] it whenever the manager is
+/// [reset](BddManager::reset). Sharing it across roots builds every AIG
+/// node at most once.
+#[derive(Clone, Debug, Default)]
+pub struct AigBddMemo {
+    bdd: Vec<BddRef>,
+    stack: Vec<Var>,
+}
+
+impl AigBddMemo {
+    /// An empty memo.
+    pub fn new() -> AigBddMemo {
+        AigBddMemo::default()
+    }
+
+    /// Forgets every entry, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.bdd.fill(UNBUILT);
+    }
+}
+
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 struct BddNode {
     level: u32,
@@ -99,9 +170,9 @@ enum Op {
 #[derive(Clone)]
 pub struct BddManager {
     nodes: Vec<BddNode>,
-    unique: HashMap<(u32, BddRef, BddRef), BddRef>,
-    apply_cache: HashMap<(Op, BddRef, BddRef), BddRef>,
-    not_cache: HashMap<BddRef, BddRef>,
+    unique: WordMap<(u32, BddRef, BddRef), BddRef>,
+    apply_cache: WordMap<(Op, BddRef, BddRef), BddRef>,
+    not_cache: WordMap<BddRef, BddRef>,
     num_vars: usize,
 }
 
@@ -123,11 +194,22 @@ impl BddManager {
                     lo: BddRef::ONE,
                 },
             ],
-            unique: HashMap::new(),
-            apply_cache: HashMap::new(),
-            not_cache: HashMap::new(),
+            unique: WordMap::default(),
+            apply_cache: WordMap::default(),
+            not_cache: WordMap::default(),
             num_vars,
         }
+    }
+
+    /// Empties the manager down to the terminals with `num_vars` levels,
+    /// keeping its allocations. Nodes are then numbered exactly as in
+    /// [`BddManager::new`]`(num_vars)`; every earlier [`BddRef`] is void.
+    pub fn reset(&mut self, num_vars: usize) {
+        self.nodes.truncate(2);
+        self.unique.clear();
+        self.apply_cache.clear();
+        self.not_cache.clear();
+        self.num_vars = num_vars;
     }
 
     /// Number of levels (variables).
@@ -348,7 +430,7 @@ impl BddManager {
         let mut sorted: Vec<u32> = levels.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        let mut memo = HashMap::new();
+        let mut memo = WordMap::default();
         self.exists_rec(f, &sorted, cap, &mut memo)
     }
 
@@ -357,7 +439,7 @@ impl BddManager {
         f: BddRef,
         levels: &[u32],
         cap: usize,
-        memo: &mut HashMap<BddRef, BddRef>,
+        memo: &mut WordMap<BddRef, BddRef>,
     ) -> Option<BddRef> {
         if f.is_const() {
             return Some(f);
@@ -402,7 +484,7 @@ impl BddManager {
         let mut sorted: Vec<u32> = levels.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        let mut memo = HashMap::new();
+        let mut memo = WordMap::default();
         self.and_exists_rec(f, g, &sorted, &mut memo)
     }
 
@@ -411,7 +493,7 @@ impl BddManager {
         f: BddRef,
         g: BddRef,
         levels: &[u32],
-        memo: &mut HashMap<(BddRef, BddRef), BddRef>,
+        memo: &mut WordMap<(BddRef, BddRef), BddRef>,
     ) -> BddRef {
         if f == BddRef::ZERO || g == BddRef::ZERO {
             return BddRef::ZERO;
@@ -474,7 +556,7 @@ impl BddManager {
     /// This is the BDD analogue of AIG pre-image in-lining:
     /// `Pre(F)(s,i) = F[s ← δ(s,i)]`.
     pub fn vector_compose(&mut self, f: BddRef, subst: &HashMap<u32, BddRef>) -> BddRef {
-        let mut memo = HashMap::new();
+        let mut memo = WordMap::default();
         self.vcompose_rec(f, subst, &mut memo)
     }
 
@@ -482,7 +564,7 @@ impl BddManager {
         &mut self,
         f: BddRef,
         subst: &HashMap<u32, BddRef>,
-        memo: &mut HashMap<BddRef, BddRef>,
+        memo: &mut WordMap<BddRef, BddRef>,
     ) -> BddRef {
         if f.is_const() {
             return f;
@@ -505,13 +587,13 @@ impl BddManager {
     /// Number of satisfying assignments over all [`BddManager::num_vars`]
     /// levels, as `f64` (exact for small counts).
     pub fn sat_count(&self, f: BddRef) -> f64 {
-        let mut memo: HashMap<BddRef, f64> = HashMap::new();
+        let mut memo: WordMap<BddRef, f64> = WordMap::default();
         let frac = self.count_rec(f, &mut memo);
         frac * 2f64.powi(self.num_vars as i32)
     }
 
     /// The fraction of assignments satisfying `f` (between 0 and 1).
-    fn count_rec(&self, f: BddRef, memo: &mut HashMap<BddRef, f64>) -> f64 {
+    fn count_rec(&self, f: BddRef, memo: &mut WordMap<BddRef, f64>) -> f64 {
         if f == BddRef::ZERO {
             return 0.0;
         }
@@ -565,7 +647,7 @@ impl BddManager {
 
     /// Number of decision nodes in the sub-DAG rooted at `f`.
     pub fn size(&self, f: BddRef) -> usize {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = WordSet::default();
         let mut stack = vec![f];
         while let Some(n) = stack.pop() {
             if n.is_const() || !seen.insert(n) {
@@ -582,6 +664,8 @@ impl BddManager {
     /// the manager grows beyond `cap` nodes (pass `usize::MAX` for
     /// unlimited).
     ///
+    /// One-shot form of [`BddManager::from_aig_memo`] with a fresh memo.
+    ///
     /// # Panics
     ///
     /// Panics if the cone references an input missing from `var_level`.
@@ -592,36 +676,78 @@ impl BddManager {
         var_level: &HashMap<Var, u32>,
         cap: usize,
     ) -> Option<BddRef> {
-        let mut memo: HashMap<Var, BddRef> = HashMap::new();
-        for v in aig.collect_cone(&[root]) {
+        let top = var_level.keys().map(|v| v.index() + 1).max().unwrap_or(0);
+        let mut levels = vec![NO_LEVEL; top];
+        for (v, &lvl) in var_level {
+            levels[v.index()] = lvl;
+        }
+        self.from_aig_memo(aig, root, &levels, &mut AigBddMemo::new(), cap)
+    }
+
+    /// Builds the BDD of an AIG cone bottom-up through `memo`: nodes it
+    /// already holds are reused, every node built is added, so roots with
+    /// shared sub-cones build each shared node once. Input `v` maps to
+    /// level `levels[v.index()]`.
+    ///
+    /// Aborts with `None` if the manager grows beyond `cap` nodes; the
+    /// nodes finished before the abort stay valid in `memo`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cone references an input without a level.
+    pub fn from_aig_memo(
+        &mut self,
+        aig: &Aig,
+        root: Lit,
+        levels: &[u32],
+        memo: &mut AigBddMemo,
+        cap: usize,
+    ) -> Option<BddRef> {
+        let top = root.var().index();
+        if memo.bdd.len() <= top {
+            memo.bdd.resize(top + 1, UNBUILT);
+        }
+        // Post-order walk that stops at memoised nodes: a gate is built
+        // once both fanins are.
+        memo.stack.clear();
+        memo.stack.push(root.var());
+        while let Some(&v) = memo.stack.last() {
+            if memo.bdd[v.index()] != UNBUILT {
+                memo.stack.pop();
+                continue;
+            }
             let b = match aig.node(v) {
                 Node::Const => BddRef::ZERO,
                 Node::Input { .. } => {
-                    let lvl = *var_level
-                        .get(&v)
-                        .expect("AIG input missing from the level map");
+                    let lvl = levels.get(v.index()).copied().unwrap_or(NO_LEVEL);
+                    assert_ne!(lvl, NO_LEVEL, "AIG input missing from the level map");
                     self.var(lvl)
                 }
                 Node::And { f0, f1 } => {
-                    let a = Self::edge(&memo, self, f0);
-                    let b = Self::edge(&memo, self, f1);
+                    let (a, b) = (memo.bdd[f0.var().index()], memo.bdd[f1.var().index()]);
+                    if a == UNBUILT {
+                        memo.stack.push(f0.var());
+                        continue;
+                    }
+                    if b == UNBUILT {
+                        memo.stack.push(f1.var());
+                        continue;
+                    }
+                    let a = self.edge(a, f0);
+                    let b = self.edge(b, f1);
                     self.apply(Op::And, a, b, Some(cap))?
                 }
             };
-            memo.insert(v, b);
+            memo.bdd[v.index()] = b;
+            memo.stack.pop();
         }
-        let r = memo[&root.var()];
-        Some(if root.is_complemented() {
-            self.not(r)
-        } else {
-            r
-        })
+        Some(self.edge(memo.bdd[top], root))
     }
 
-    fn edge(memo: &HashMap<Var, BddRef>, me: &mut BddManager, l: Lit) -> BddRef {
-        let b = memo[&l.var()];
+    /// The BDD of the AIG edge `l` whose node's BDD is `b`.
+    fn edge(&mut self, b: BddRef, l: Lit) -> BddRef {
         if l.is_complemented() {
-            me.not(b)
+            self.not(b)
         } else {
             b
         }
@@ -630,7 +756,7 @@ impl BddManager {
     /// Dumps `f` into an AIG as a multiplexer tree over `level_lit`
     /// (the AIG literal to use for each level).
     pub fn to_aig(&self, aig: &mut Aig, f: BddRef, level_lit: &[Lit]) -> Lit {
-        let mut memo: HashMap<BddRef, Lit> = HashMap::new();
+        let mut memo: WordMap<BddRef, Lit> = WordMap::default();
         self.to_aig_rec(aig, f, level_lit, &mut memo)
     }
 
@@ -639,7 +765,7 @@ impl BddManager {
         aig: &mut Aig,
         f: BddRef,
         level_lit: &[Lit],
-        memo: &mut HashMap<BddRef, Lit>,
+        memo: &mut WordMap<BddRef, Lit>,
     ) -> Lit {
         if f == BddRef::ZERO {
             return Lit::FALSE;

@@ -1,12 +1,13 @@
 //! Property-based tests of the BDD package: canonicity, Boolean algebra,
-//! quantification semantics and AIG conversion agreement.
+//! quantification semantics, AIG conversion agreement, the shared
+//! AIG-node memo and manager reset.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use cbq_aig::{Aig, Lit};
-use cbq_bdd::{BddManager, BddRef};
+use cbq_aig::{Aig, Lit, Var};
+use cbq_bdd::{AigBddMemo, BddManager, BddRef};
 
 const N: usize = 5;
 
@@ -32,7 +33,8 @@ fn ops_strategy(max_ops: usize) -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-fn build(mgr: &mut BddManager, ops: &[Op]) -> BddRef {
+/// Every intermediate BDD of `ops`, the level projections first.
+fn build_all(mgr: &mut BddManager, ops: &[Op]) -> Vec<BddRef> {
     let mut pool: Vec<BddRef> = (0..N as u32).map(|i| mgr.var(i)).collect();
     for op in ops {
         let pick = |i: usize| pool[i % pool.len()];
@@ -60,14 +62,62 @@ fn build(mgr: &mut BddManager, ops: &[Op]) -> BddRef {
         };
         pool.push(r);
     }
-    *pool.last().expect("non-empty")
+    pool
+}
+
+fn build(mgr: &mut BddManager, ops: &[Op]) -> BddRef {
+    *build_all(mgr, ops).last().expect("non-empty")
+}
+
+/// The same structure as [`build_all`], as an AIG over `N` inputs: the
+/// AIG and every intermediate literal.
+fn build_aig(ops: &[Op]) -> (Aig, Vec<Lit>) {
+    let mut aig = Aig::new();
+    let mut pool: Vec<Lit> = (0..N).map(|_| aig.add_input().lit()).collect();
+    for op in ops {
+        let pick = |i: usize| pool[i % pool.len()];
+        let l = match *op {
+            Op::And(a, b) => {
+                let (x, y) = (pick(a), pick(b));
+                aig.and(x, y)
+            }
+            Op::Or(a, b) => {
+                let (x, y) = (pick(a), pick(b));
+                aig.or(x, y)
+            }
+            Op::Xor(a, b) => {
+                let (x, y) = (pick(a), pick(b));
+                aig.xor(x, y)
+            }
+            Op::Not(a) => !pick(a),
+            Op::Ite(a, b, c) => {
+                let (x, y, z) = (pick(a), pick(b), pick(c));
+                aig.ite(x, y, z)
+            }
+        };
+        pool.push(l);
+    }
+    (aig, pool)
+}
+
+/// Level `i` for input `i`, as the map and as the dense table.
+fn input_levels(aig: &Aig) -> (HashMap<Var, u32>, Vec<u32>) {
+    let map: HashMap<Var, u32> = (0..N).map(|i| (aig.input_var(i), i as u32)).collect();
+    let mut dense = vec![u32::MAX; aig.num_nodes()];
+    for (v, &lvl) in &map {
+        dense[v.index()] = lvl;
+    }
+    (map, dense)
+}
+
+fn assignment(mask: u32) -> Vec<bool> {
+    (0..N).map(|i| (mask >> i) & 1 != 0).collect()
 }
 
 fn truth_table(mgr: &BddManager, f: BddRef) -> u64 {
     let mut tt = 0u64;
     for mask in 0..1u32 << N {
-        let asg: Vec<bool> = (0..N).map(|i| (mask >> i) & 1 != 0).collect();
-        if mgr.eval(f, &asg) {
+        if mgr.eval(f, &assignment(mask)) {
             tt |= 1 << mask;
         }
     }
@@ -146,32 +196,58 @@ proptest! {
     /// AIG → BDD → AIG round-trips preserve the function.
     #[test]
     fn aig_bdd_roundtrip(ops in ops_strategy(16)) {
-        // Build the same structure as an AIG first.
-        let mut aig = Aig::new();
-        let mut pool: Vec<Lit> = (0..N).map(|_| aig.add_input().lit()).collect();
-        for op in &ops {
-            let pick = |i: usize| pool[i % pool.len()];
-            let l = match *op {
-                Op::And(a, b) => { let (x, y) = (pick(a), pick(b)); aig.and(x, y) }
-                Op::Or(a, b) => { let (x, y) = (pick(a), pick(b)); aig.or(x, y) }
-                Op::Xor(a, b) => { let (x, y) = (pick(a), pick(b)); aig.xor(x, y) }
-                Op::Not(a) => !pick(a),
-                Op::Ite(a, b, c) => { let (x, y, z) = (pick(a), pick(b), pick(c)); aig.ite(x, y, z) }
-            };
-            pool.push(l);
-        }
+        let (mut aig, pool) = build_aig(&ops);
         let root = *pool.last().expect("non-empty");
-        let var_level: HashMap<_, _> = (0..N)
-            .map(|i| (aig.input_var(i), i as u32))
-            .collect();
+        let (var_level, _) = input_levels(&aig);
         let mut mgr = BddManager::new(N);
         let b = mgr.from_aig(&aig, root, &var_level, usize::MAX).unwrap();
         let lits: Vec<Lit> = (0..N).map(|i| aig.input_var(i).lit()).collect();
         let back = mgr.to_aig(&mut aig, b, &lits);
         for mask in 0..1u32 << N {
-            let asg: Vec<bool> = (0..N).map(|i| (mask >> i) & 1 != 0).collect();
+            let asg = assignment(mask);
             prop_assert_eq!(aig.eval(root, &asg), aig.eval(back, &asg));
             prop_assert_eq!(aig.eval(root, &asg), mgr.eval(b, &asg));
         }
+    }
+
+    /// Roots built one after another through one shared memo get the
+    /// same node as a one-shot build in the same manager, and the AIG's
+    /// truth table.
+    #[test]
+    fn shared_memo_matches_one_shot_builds(
+        ops in ops_strategy(24),
+        picks in prop::collection::vec(any::<usize>(), 1..6),
+    ) {
+        let (aig, pool) = build_aig(&ops);
+        let (var_level, levels) = input_levels(&aig);
+        let mut mgr = BddManager::new(N);
+        let mut memo = AigBddMemo::new();
+        for pick in picks {
+            let root = pool[pick % pool.len()];
+            let shared = mgr
+                .from_aig_memo(&aig, root, &levels, &mut memo, usize::MAX)
+                .unwrap();
+            let one_shot = mgr.from_aig(&aig, root, &var_level, usize::MAX).unwrap();
+            prop_assert_eq!(shared, one_shot);
+            for mask in 0..1u32 << N {
+                let asg = assignment(mask);
+                prop_assert_eq!(mgr.eval(shared, &asg), aig.eval(root, &asg));
+            }
+        }
+    }
+
+    /// A reset manager numbers every node exactly like a fresh one.
+    #[test]
+    fn reset_numbers_like_fresh(ops1 in ops_strategy(16), ops2 in ops_strategy(16)) {
+        let mut reused = BddManager::new(N);
+        build(&mut reused, &ops1);
+        reused.reset(N);
+        prop_assert_eq!(reused.num_nodes(), 2);
+        let again = build_all(&mut reused, &ops2);
+        let mut fresh = BddManager::new(N);
+        let expect = build_all(&mut fresh, &ops2);
+        prop_assert_eq!(again, expect);
+        prop_assert_eq!(reused.num_nodes(), fresh.num_nodes());
+        prop_assert_eq!(reused.num_vars(), fresh.num_vars());
     }
 }

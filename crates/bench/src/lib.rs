@@ -3,8 +3,7 @@
 //! One module per experiment of `DESIGN.md` §3 (E1–E8). Each experiment
 //! exposes a `*_table()` function that regenerates the corresponding
 //! table/figure as a [`Table`] of printed rows; the `report` binary
-//! dispatches on experiment ids, and the Criterion benches in `benches/`
-//! time the same kernels.
+//! dispatches on experiment ids.
 
 #![forbid(unsafe_code)]
 
@@ -373,6 +372,7 @@ pub fn e4_table() -> Table {
             "shared(strash)",
             "classes",
             "bdd",
+            "aborted",
             "sat",
             "cex",
         ],
@@ -421,6 +421,7 @@ pub fn e4_table() -> Table {
                 shared.to_string(),
                 res.stats.classes_initial.to_string(),
                 res.stats.merged_bdd.to_string(),
+                res.stats.bdd_aborted.to_string(),
                 res.stats.merged_sat.to_string(),
                 res.stats.sat_cex.to_string(),
             ]);

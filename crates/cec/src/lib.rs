@@ -10,7 +10,11 @@
 //!    scheme to early detect functionally equivalent map points").
 //! 2. **BDD sweeping** — size-bounded BDDs built bottom-up confirm or
 //!    refute candidate equivalences canonically (Kuehlmann & Krohm,
-//!    DAC 1997).
+//!    DAC 1997). One manager, ordered by the cone's inputs, and one
+//!    node → BDD memo serve every candidate class of a sweep, so a
+//!    sub-cone shared by several classes is built once; each class may
+//!    add at most [`SweepConfig::bdd_cap`] nodes before its remaining
+//!    members fall through to SAT.
 //! 3. **SAT checks** — remaining compare points go to the shared-database
 //!    incremental solver ([`cbq_cnf::AigCnf`]) as assumption queries on
 //!    one persistent arena solver; counterexamples are fed back into
@@ -54,7 +58,7 @@ use std::time::Instant;
 
 use cbq_aig::sim::BitSim;
 use cbq_aig::{Aig, Lit, Node, Var};
-use cbq_bdd::BddManager;
+use cbq_bdd::{AigBddMemo, BddManager, BddRef};
 use cbq_cnf::{AigCnf, EquivResult};
 
 /// Processing order for SAT-based merge-point checking (Section 2.1).
@@ -79,7 +83,8 @@ pub struct SweepConfig {
     pub seed: u64,
     /// Enable the BDD sweeping tier.
     pub use_bdd_sweep: bool,
-    /// Node cap for each per-class BDD construction.
+    /// Nodes one candidate class may add to the sweep's shared BDD
+    /// manager; a member whose build crosses it goes to the SAT tier.
     pub bdd_cap: usize,
     /// Enable the SAT tier.
     pub use_sat: bool,
@@ -129,6 +134,8 @@ pub struct SweepStats {
     pub merged_sat: usize,
     /// Candidate pairs refuted canonically by BDDs.
     pub refuted_bdd: usize,
+    /// Class members whose BDD build hit [`SweepConfig::bdd_cap`].
+    pub bdd_aborted: usize,
     /// SAT equivalence checks issued.
     pub sat_checks: u64,
     /// SAT checks that produced counterexamples (class refinements).
@@ -193,9 +200,62 @@ struct Sweeper<'a> {
     cfg: &'a SweepConfig,
     sim: BitSim,
     merges: Merges,
+    /// Pairs a SAT counterexample told apart.
     refuted: HashSet<(Var, Var)>,
+    /// BDD-tier refutations, kept per node rather than per pair (pairs
+    /// grow with the square of a class): each node's class, named by its
+    /// first member, and the ordinal of its BDD among that class's
+    /// distinct BDDs.
+    bdd_bucket: HashMap<Var, (Var, usize)>,
     stats: SweepStats,
     next_cex_slot: usize,
+    /// Tier-2 state, built on the first class that reaches the tier.
+    bdd: Option<BddTier>,
+}
+
+/// Once the shared manager holds this many times
+/// [`SweepConfig::bdd_cap`] nodes, it is emptied before the next class.
+const BDD_MANAGER_CLASSES: usize = 8;
+
+/// The BDD tier's state for one sweep, shared by all candidate classes:
+/// BDDs are canonical under one variable order, so a node's BDD serves
+/// every class that reaches it.
+struct BddTier {
+    mgr: BddManager,
+    memo: AigBddMemo,
+    /// Level of each cone input, by variable index: the inputs in index
+    /// order. Every class's own support order is a subsequence of it.
+    levels: Vec<u32>,
+}
+
+impl BddTier {
+    fn new(aig: &Aig, roots: &[Lit]) -> BddTier {
+        let support = aig.support_many(roots);
+        let mut levels = vec![u32::MAX; support.last().map_or(0, |v| v.index() + 1)];
+        for (i, v) in support.iter().enumerate() {
+            levels[v.index()] = i as u32;
+        }
+        BddTier {
+            mgr: BddManager::new(support.len()),
+            memo: AigBddMemo::new(),
+            levels,
+        }
+    }
+
+    /// Starts a class: empties the manager if it outgrew its bound, and
+    /// returns the node limit for the class's builds.
+    fn begin_class(&mut self, bdd_cap: usize) -> usize {
+        if self.mgr.num_nodes() > bdd_cap.saturating_mul(BDD_MANAGER_CLASSES) {
+            self.mgr.reset(self.mgr.num_vars());
+            self.memo.clear();
+        }
+        self.mgr.num_nodes().saturating_add(bdd_cap)
+    }
+
+    fn build(&mut self, aig: &Aig, root: Lit, cap: usize) -> Option<BddRef> {
+        self.mgr
+            .from_aig_memo(aig, root, &self.levels, &mut self.memo, cap)
+    }
 }
 
 impl<'a> Sweeper<'a> {
@@ -209,8 +269,10 @@ impl<'a> Sweeper<'a> {
             sim,
             merges: HashMap::new(),
             refuted: HashSet::new(),
+            bdd_bucket: HashMap::new(),
             stats: SweepStats::default(),
             next_cex_slot: 0,
+            bdd: None,
         }
     }
 
@@ -283,24 +345,38 @@ impl<'a> Sweeper<'a> {
         }
     }
 
-    /// Tier 2: BDD sweeping inside one candidate class. Returns the
-    /// members that remain unresolved (BDD construction aborted).
+    /// Tier 2: BDD sweeping inside one candidate class, in the sweep's
+    /// shared manager. Returns the members that remain unresolved (BDD
+    /// construction aborted).
     fn bdd_tier(&mut self, members: &[Lit]) -> Vec<Lit> {
-        // The representative's BDD is required; per-class manager keeps
-        // caps local (sweeping keeps BDDs small).
-        let support = self.aig.support_many(members);
-        let var_level: HashMap<Var, u32> = support
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (*v, i as u32))
-            .collect();
-        let mut mgr = BddManager::new(support.len());
-        let mut by_bdd: HashMap<cbq_bdd::BddRef, Lit> = HashMap::new();
+        let mut tier = self
+            .bdd
+            .take()
+            .unwrap_or_else(|| BddTier::new(self.aig, &self.roots));
+        let cap = tier.begin_class(self.cfg.bdd_cap);
+        let unresolved = self.bdd_class(members, |aig, root| tier.build(aig, root, cap));
+        self.bdd = Some(tier);
+        unresolved
+    }
+
+    /// Merges and refutes the members of one class by their BDDs; `build`
+    /// returns `None` when a member's construction aborts. Returns the
+    /// aborted members.
+    fn bdd_class(
+        &mut self,
+        members: &[Lit],
+        mut build: impl FnMut(&Aig, Lit) -> Option<BddRef>,
+    ) -> Vec<Lit> {
+        let class = members[0].var();
+        let mut by_bdd: HashMap<BddRef, Lit> = HashMap::new();
         let mut unresolved = Vec::new();
         for &m in members {
             let resolved = self.find(m);
-            match mgr.from_aig(self.aig, resolved, &var_level, self.cfg.bdd_cap) {
-                None => unresolved.push(m),
+            match build(self.aig, resolved) {
+                None => {
+                    self.stats.bdd_aborted += 1;
+                    unresolved.push(m);
+                }
                 Some(b) => {
                     if let Some(&repr) = by_bdd.get(&b) {
                         let repr = self.find(repr);
@@ -314,22 +390,27 @@ impl<'a> Sweeper<'a> {
                             self.stats.merged_bdd += 1;
                         }
                     } else {
+                        // Canonicity: a new BDD refutes the pair with each
+                        // earlier one of the class for good.
+                        self.stats.refuted_bdd += by_bdd.len();
+                        self.bdd_bucket
+                            .insert(resolved.var(), (class, by_bdd.len()));
                         by_bdd.insert(b, resolved);
-                        // Canonicity: distinct BDDs refute the candidate
-                        // pair for good.
-                        for (&ob, &ol) in by_bdd.iter() {
-                            if ob != b {
-                                let key = ordered(ol.var(), resolved.var());
-                                if self.refuted.insert(key) {
-                                    self.stats.refuted_bdd += 1;
-                                }
-                            }
-                        }
                     }
                 }
             }
         }
         unresolved
+    }
+
+    /// Whether `a` and `b` are known to differ: a SAT counterexample told
+    /// them apart, or they got different BDDs in one class.
+    fn is_refuted(&self, a: Var, b: Var) -> bool {
+        self.refuted.contains(&ordered(a, b))
+            || matches!(
+                (self.bdd_bucket.get(&a), self.bdd_bucket.get(&b)),
+                (Some(x), Some(y)) if x.0 == y.0 && x.1 != y.1
+            )
     }
 
     /// Tier 3: SAT check of `member ≡ repr`; on counterexample the pattern
@@ -425,7 +506,7 @@ impl<'a> Sweeper<'a> {
                 resolved.sort_unstable();
                 let repr = resolved[0];
                 for &member in &resolved[1..] {
-                    if self.refuted.contains(&ordered(repr.var(), member.var())) {
+                    if self.is_refuted(repr.var(), member.var()) {
                         pending_pairs += 1;
                         continue;
                     }
@@ -681,6 +762,161 @@ mod tests {
         assert_eq!(cnf.solve_under(&aig, &[m_eq]), cbq_sat::SatResult::Unsat);
         let m_diff = miter(&mut aig, a, b);
         assert_eq!(cnf.solve_under(&aig, &[m_diff]), cbq_sat::SatResult::Sat);
+    }
+
+    #[test]
+    fn tiny_bdd_cap_falls_through_to_sat() {
+        let mut aig = Aig::new();
+        let (_, _, x1, x2) = xor_two_ways(&mut aig);
+        let mut cnf = AigCnf::new();
+        let cfg = SweepConfig {
+            bdd_cap: 0,
+            ..SweepConfig::default()
+        };
+        let res = sweep(&mut aig, &[x1, x2], &mut cnf, &cfg);
+        assert_eq!(res.roots[0], res.roots[1]);
+        assert!(res.stats.bdd_aborted >= 1);
+        assert!(res.stats.merged_sat >= 1);
+    }
+
+    /// Deterministic xorshift stream for the randomized differential.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// One random formula over `ins`, built twice: `f` from plain gates,
+    /// `g` from structurally different but equivalent constructions of
+    /// the same gates, with about one operand in ten negated. The pair
+    /// shares many equivalent nodes and differs in some.
+    fn similar_pair(aig: &mut Aig, ins: &[Lit], rng: &mut Rng) -> (Lit, Lit) {
+        let mut pf: Vec<Lit> = ins.to_vec();
+        let mut pg: Vec<Lit> = ins.to_vec();
+        for _ in 0..8 + rng.below(24) {
+            let kind = rng.below(4);
+            let idx = [0; 3].map(|_| rng.below(pf.len()));
+            let neg = [0; 3].map(|_| rng.below(2) == 1);
+            let [fa, fb, fc] = [0, 1, 2].map(|k| pf[idx[k]].xor_sign(neg[k]));
+            let [mut ga, gb, gc] = [0, 1, 2].map(|k| pg[idx[k]].xor_sign(neg[k]));
+            if rng.below(10) == 0 {
+                ga = !ga;
+            }
+            let (f, g) = match kind {
+                // a∧b  vs  (a∧b)∧(a∨c)
+                0 => {
+                    let f = aig.and(fa, fb);
+                    let ab = aig.and(ga, gb);
+                    let ac = aig.or(ga, gc);
+                    (f, aig.and(ab, ac))
+                }
+                // a∨b  vs  a∨(b∧(b∨c))
+                1 => {
+                    let f = aig.or(fa, fb);
+                    let bc = aig.or(gb, gc);
+                    let b = aig.and(gb, bc);
+                    (f, aig.or(ga, b))
+                }
+                // a⊕b  vs  (a∨b)∧¬(a∧b)
+                2 => {
+                    let f = aig.xor(fa, fb);
+                    let or = aig.or(ga, gb);
+                    let and = aig.and(ga, gb);
+                    (f, aig.and(or, !and))
+                }
+                // a?b:c  vs  the same plus the consensus term b∧c
+                _ => {
+                    let f = aig.ite(fa, fb, fc);
+                    let t = aig.ite(ga, gb, gc);
+                    let bc = aig.and(gb, gc);
+                    (f, aig.or(t, bc))
+                }
+            };
+            pf.push(f);
+            pg.push(g);
+        }
+        (*pf.last().unwrap(), *pg.last().unwrap())
+    }
+
+    /// The BDD-only sweep with a fresh manager per class, levelled by the
+    /// class's own support: the tier as it was before the shared
+    /// manager, kept here only as the differential reference.
+    fn per_class_manager_sweep(aig: &mut Aig, roots: &[Lit], cfg: &SweepConfig) -> SweepResult {
+        let mut cnf = AigCnf::new();
+        let mut s = Sweeper::new(aig, roots, &mut cnf, cfg);
+        s.stats.rounds = 1;
+        s.sim.run(s.aig);
+        let classes = s.candidate_classes();
+        s.stats.classes_initial = classes.len();
+        for class in classes {
+            let resolved: Vec<Lit> = class.iter().map(|&m| s.find(m)).collect();
+            let var_level: HashMap<Var, u32> = s
+                .aig
+                .support_many(&resolved)
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| (v, i as u32))
+                .collect();
+            let mut mgr = BddManager::new(var_level.len());
+            s.bdd_class(&class, |aig, root| {
+                mgr.from_aig(aig, root, &var_level, usize::MAX)
+            });
+        }
+        let roots = apply_merges(s.aig, &s.roots, &s.merges);
+        SweepResult {
+            roots,
+            stats: s.stats,
+        }
+    }
+
+    #[test]
+    fn shared_bdd_tier_matches_per_class_managers() {
+        let cfg = SweepConfig {
+            use_sat: false,
+            bdd_cap: usize::MAX,
+            ..SweepConfig::default()
+        };
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        let (mut merged, mut aborted) = (0, 0);
+        for case in 0..200 {
+            let mut aig = Aig::new();
+            let n = 2 + rng.below(9);
+            let ins: Vec<Lit> = (0..n).map(|_| aig.add_input().lit()).collect();
+            let (f, g) = similar_pair(&mut aig, &ins, &mut rng);
+            let mut reference_aig = aig.clone();
+            let reference = per_class_manager_sweep(&mut reference_aig, &[f, g], &cfg);
+            let shared = sweep(&mut aig, &[f, g], &mut AigCnf::new(), &cfg);
+            assert_eq!(shared.stats, reference.stats, "case {case}");
+            merged += shared.stats.merged_bdd;
+            // A cap this small aborts builds part-way and keeps emptying
+            // the manager: merges must stay sound.
+            let capped_cfg = SweepConfig {
+                bdd_cap: 8,
+                ..cfg.clone()
+            };
+            let capped = sweep(&mut aig, &[f, g], &mut AigCnf::new(), &capped_cfg);
+            aborted += capped.stats.bdd_aborted;
+            for mask in 0..1u32 << n {
+                let asg: Vec<bool> = (0..n).map(|i| (mask >> i) & 1 != 0).collect();
+                for (k, root) in [f, g].into_iter().enumerate() {
+                    let want = aig.eval(root, &asg);
+                    assert_eq!(aig.eval(shared.roots[k], &asg), want, "case {case}");
+                    assert_eq!(aig.eval(capped.roots[k], &asg), want, "case {case}");
+                    assert_eq!(
+                        reference_aig.eval(reference.roots[k], &asg),
+                        want,
+                        "case {case}"
+                    );
+                }
+            }
+        }
+        assert!(merged > 0, "the pairs must exercise BDD merges");
+        assert!(aborted > 0, "the capped sweeps must abort builds");
     }
 
     #[test]

@@ -485,6 +485,7 @@ fn accumulate_sweep(total: &mut SweepStats, s: SweepStats) {
     total.merged_bdd += s.merged_bdd;
     total.merged_sat += s.merged_sat;
     total.refuted_bdd += s.refuted_bdd;
+    total.bdd_aborted += s.bdd_aborted;
     total.sat_checks += s.sat_checks;
     total.sat_cex += s.sat_cex;
     total.sat_unknown += s.sat_unknown;
