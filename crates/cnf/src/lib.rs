@@ -21,7 +21,33 @@
 //!   the solver — learnt clauses, variable activities, and phases survive
 //!   across GCs, reachability iterations, and partition re-splits. The
 //!   pre-activation behaviour (throw the solver away) is kept as
-//!   [`CnfLifetime::Rebuild`] for ablation.
+//!   [`CnfLifetime::Rebuild`] for ablation;
+//! * while the database stays **definitional**, each check is answered
+//!   **inside its query's cone** ([`cbq_sat::Solver::solve_in_cone`]):
+//!   the bridge records every gate variable's two fanin variables at
+//!   encode time, and the solver decides and propagates (above level 0)
+//!   only within the fanin closure of the assumptions.
+//!
+//! ## Cone-scoped checks: the soundness invariant
+//!
+//! A scoped check is sound when three things hold:
+//!
+//! * **definitional-only database** — Tseitin gates and
+//!   [`AigCnf::learn_equiv`] equivalences (which the gates already
+//!   imply), nothing else: no [`AigCnf::assert_lit`], no
+//!   [`AigCnf::new_guard`] / [`AigCnf::add_guarded_by`] group, no raw
+//!   [`AigCnf::solver_mut`] access, and the proof mode is off. The first
+//!   such call switches the bridge to whole-database solves for good;
+//! * **fanin-closed domain** — the closure runs over *SAT* variables, so
+//!   a strash-collision loser that a surviving gate's clauses still name
+//!   after [`AigCnf::migrate`] is part of its parent's cone;
+//! * **unrestricted level 0** — level-0 propagation reaches every
+//!   variable, so facts implied by the whole database stay in force.
+//!
+//! Then any conflict-free assignment of the domain extends to a model of
+//! the whole database by evaluating the remaining gates, with inputs
+//! outside the cone at `false` — exactly what [`AigCnf::model_inputs`]
+//! reports for them.
 //!
 //! ## Example
 //!
@@ -51,7 +77,7 @@
 #![warn(missing_docs)]
 
 use cbq_aig::{Aig, Lit, Node, Var};
-use cbq_sat::{SatLit, SatResult, Solver, SolverStats};
+use cbq_sat::{SatLit, SatResult, SatVar, Solver, SolverStats, NO_FANIN};
 
 pub use cbq_sat::ProofMode;
 
@@ -155,6 +181,14 @@ pub struct AigCnf {
     /// any exist, retirement must keep map variables alive (the guarded
     /// groups may reference them).
     live_guards: usize,
+    /// SAT variable index → the SAT variables of its two fanins, for gate
+    /// variables ([`NO_FANIN`] otherwise): the domain walk of
+    /// cone-scoped checks.
+    fanins: Vec<[u32; 2]>,
+    /// Whether a non-definitional clause (asserted literal, caller guard
+    /// group, raw solver access) ever reached the database; from then on
+    /// every check solves the whole database.
+    constrained: bool,
 }
 
 impl AigCnf {
@@ -185,7 +219,7 @@ impl AigCnf {
             return None;
         }
         if self.act.is_none() {
-            self.act = Some(self.solver.new_var().pos());
+            self.act = Some(self.new_sat_var(NO_FANIN).pos());
         }
         self.act
     }
@@ -257,6 +291,7 @@ impl AigCnf {
                 snap.arena_words = 0;
                 self.retired_solver.absorb(&snap);
                 self.solver = Solver::new();
+                self.fanins.clear();
                 self.act = None;
                 // Guard bookkeeping named the discarded solver's vars.
                 self.retired_guards.clear();
@@ -352,9 +387,18 @@ impl AigCnf {
     }
 
     /// Mutable access to the underlying solver, for advanced uses such as
-    /// adding blocking clauses during all-solutions enumeration.
+    /// adding blocking clauses during all-solutions enumeration. Raw
+    /// access may add any clause, so later checks solve the whole
+    /// database.
     pub fn solver_mut(&mut self) -> &mut Solver {
+        self.constrained = true;
         &mut self.solver
+    }
+
+    /// Whether checks are answered inside their query's cone (see the
+    /// crate doc for the invariant this guards).
+    pub fn is_cone_scoped(&self) -> bool {
+        !self.constrained && self.solver.proof_mode() == ProofMode::Off
     }
 
     /// Selects the solver's proof mode. Must be called before any clause
@@ -383,14 +427,25 @@ impl AigCnf {
         self.solver.set_conflict_budget(budget);
     }
 
+    /// Allocates a SAT variable (possibly a recycled slot) and records its
+    /// fanin variables.
+    fn new_sat_var(&mut self, fanins: [u32; 2]) -> SatVar {
+        let sv = self.solver.new_var();
+        if self.fanins.len() <= sv.index() {
+            self.fanins.resize(sv.index() + 1, NO_FANIN);
+        }
+        self.fanins[sv.index()] = fanins;
+        sv
+    }
+
     /// Allocates a fresh SAT variable for AIG variable `v` and records its
     /// positive literal in the map.
-    fn fresh_lit(&mut self, v: Var) -> SatLit {
+    fn fresh_lit(&mut self, v: Var, fanins: [u32; 2]) -> SatLit {
         if self.map.len() <= v.index() {
             self.map.resize(v.index() + 1, None);
         }
         debug_assert!(self.map[v.index()].is_none());
-        let sl = self.solver.new_var().pos();
+        let sl = self.new_sat_var(fanins).pos();
         self.map[v.index()] = Some(sl);
         sl
     }
@@ -420,11 +475,11 @@ impl AigCnf {
             }
             match aig.node(v) {
                 Node::Const => {
-                    let sl = self.fresh_lit(v);
+                    let sl = self.fresh_lit(v, NO_FANIN);
                     self.add_guarded(&[!sl]);
                 }
                 Node::Input { .. } => {
-                    let _ = self.fresh_lit(v);
+                    let _ = self.fresh_lit(v, NO_FANIN);
                 }
                 Node::And { f0, f1 } => {
                     let a = self
@@ -433,7 +488,7 @@ impl AigCnf {
                     let b = self
                         .sat_lit(f1)
                         .expect("fanin encoded before gate (topological order)");
-                    let c = self.fresh_lit(v);
+                    let c = self.fresh_lit(v, [a.var().index() as u32, b.var().index() as u32]);
                     // c <-> a & b
                     self.add_guarded(&[!c, a]);
                     self.add_guarded(&[!c, b]);
@@ -464,7 +519,8 @@ impl AigCnf {
     /// generations, exposed so engines can run many independent guarded
     /// lifetimes on one solver.
     pub fn new_guard(&mut self) -> SatLit {
-        let g = self.solver.new_var().pos();
+        self.constrained = true;
+        let g = self.new_sat_var(NO_FANIN).pos();
         self.solver.set_decision(g.var(), false);
         self.live_guards += 1;
         g
@@ -476,6 +532,7 @@ impl AigCnf {
     /// to the bridge's own cone generation and survives
     /// [`AigCnf::retire_cones`] until its guard is retired.
     pub fn add_guarded_by(&mut self, guard: SatLit, clause: &[SatLit]) -> bool {
+        self.constrained = true;
         let mut guarded = Vec::with_capacity(clause.len() + 1);
         guarded.push(!guard);
         guarded.extend_from_slice(clause);
@@ -542,7 +599,12 @@ impl AigCnf {
     /// (guards from [`AigCnf::new_guard`], literals from
     /// [`AigCnf::ensure`]) appended after the encoded `lits`. The current
     /// cone generation's activation literal is assumed implicitly, and the
-    /// call counts as one check. On [`SatResult::Unsat`] the solver's
+    /// call counts as one check. While the database is definitional
+    /// ([`AigCnf::is_cone_scoped`]) the check is answered inside the
+    /// assumptions' cone ([`cbq_sat::Solver::solve_in_cone`]); a `Sat`
+    /// model then leaves inputs outside that cone unassigned, which
+    /// [`AigCnf::model_inputs`] reads as `false`. On
+    /// [`SatResult::Unsat`] the solver's
     /// [`cbq_sat::Solver::failed_assumptions`] names a sufficient subset
     /// of the assumptions — the hook IC3-style engines use for unsat-core
     /// cube generalization.
@@ -562,7 +624,11 @@ impl AigCnf {
         }
         assumptions.extend_from_slice(extra);
         self.stats.checks += 1;
-        self.solver.solve_with(&assumptions)
+        if self.is_cone_scoped() {
+            self.solver.solve_in_cone(&assumptions, &self.fanins)
+        } else {
+            self.solver.solve_with(&assumptions)
+        }
     }
 
     /// Asserts `l` for the lifetime of the current cone generation (a unit
@@ -573,6 +639,7 @@ impl AigCnf {
     /// Used by engines that constrain the whole enumeration, e.g. blocking
     /// already-covered state cubes.
     pub fn assert_lit(&mut self, aig: &Aig, l: Lit) -> bool {
+        self.constrained = true;
         if l == Lit::TRUE {
             return true;
         }
@@ -712,6 +779,53 @@ mod tests {
         assert_eq!(cnf.solve_under(&aig, &[f]), SatResult::Sat);
         let m = cnf.model_inputs(&aig);
         assert!(aig.eval(f, &m));
+    }
+
+    #[test]
+    fn only_definitional_bridges_answer_inside_the_cone() {
+        let mut aig = Aig::new();
+        let ins: Vec<Lit> = (0..8).map(|_| aig.add_input().lit()).collect();
+        let f = aig.and(ins[0], ins[1]);
+        let big = aig.and_many(&ins[2..]);
+        let scoped = |cnf: &AigCnf| cnf.solver_stats().scoped_solves;
+        // A definitional bridge answers a small query inside its cone,
+        // and the model leaves the other cone's inputs at `false`.
+        let mut cnf = AigCnf::new();
+        let _ = cnf.ensure(&aig, big);
+        assert!(cnf.is_cone_scoped());
+        assert_eq!(cnf.solve_under(&aig, &[f]), SatResult::Sat);
+        assert_eq!(scoped(&cnf), 1);
+        assert!(cnf.model_inputs(&aig)[2..].iter().all(|&b| !b));
+        // Learnt equivalences keep the database definitional.
+        let x = aig.xor(ins[0], ins[1]);
+        let or = aig.or(ins[0], ins[1]);
+        let x2 = aig.and(or, !f);
+        assert_eq!(cnf.prove_equiv(&aig, x, x2, None), EquivResult::Equiv);
+        let (sx, sx2) = (cnf.sat_lit(x).unwrap(), cnf.sat_lit(x2).unwrap());
+        cnf.learn_equiv(sx, sx2);
+        assert!(cnf.is_cone_scoped());
+        let before = scoped(&cnf);
+        assert_eq!(cnf.solve_under(&aig, &[x, !ins[0]]), SatResult::Sat);
+        assert!(aig.eval(x2, &cnf.model_inputs(&aig)));
+        assert_eq!(scoped(&cnf), before + 1);
+        // An asserted literal, a caller guard, or a proof log each switch
+        // the bridge to whole-database solves for good.
+        let mut asserted = AigCnf::new();
+        let _ = asserted.ensure(&aig, big);
+        assert!(asserted.assert_lit(&aig, ins[7]));
+        let mut guarded = AigCnf::new();
+        let _ = guarded.ensure(&aig, big);
+        let _ = guarded.new_guard();
+        let mut proving = AigCnf::new();
+        proving.set_proof_mode(ProofMode::Drat);
+        let _ = proving.ensure(&aig, big);
+        for mut c in [asserted, guarded, proving] {
+            assert!(!c.is_cone_scoped());
+            assert_eq!(c.solve_under(&aig, &[f]), SatResult::Sat);
+            c.retire_cones();
+            assert_eq!(c.solve_under(&aig, &[f]), SatResult::Sat);
+            assert_eq!(scoped(&c), 0);
+        }
     }
 
     #[test]

@@ -208,10 +208,12 @@ impl QuantConfig {
     }
 
     /// Cooperative wall-clock cancellation at the given instant; also
-    /// propagated to the merge-phase candidate loop.
+    /// propagated to the merge-phase candidate loop and to the
+    /// optimisation passes' validation checks.
     pub fn with_deadline(mut self, deadline: Option<Instant>) -> QuantConfig {
         self.deadline = deadline;
         self.sweep.deadline = deadline;
+        self.opt.deadline = deadline;
         self
     }
 
@@ -971,6 +973,9 @@ mod tests {
         };
         let mut cnf = AigCnf::new();
         let cfg = QuantConfig::full().with_deadline(Some(Instant::now()));
+        // Every phase that issues SAT checks polls the same instant.
+        assert_eq!(cfg.sweep.deadline, cfg.deadline);
+        assert_eq!(cfg.opt.deadline, cfg.deadline);
         let res = exists_many(&mut aig, f, &vars[..4], &mut cnf, &cfg);
         assert_eq!(res.remaining.len(), 4, "expired deadline must abort all");
         assert_eq!(res.lit, f);

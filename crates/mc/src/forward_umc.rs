@@ -13,6 +13,13 @@
 //! sweep ([`crate::sweep`]) — image computation churns through far more
 //! temporary nodes per step. Partitioning pays off accordingly: each
 //! partition images its own window in its own manager, in parallel.
+//!
+//! Bad states are caught **one step ahead**: before building the image
+//! of frontier `F`, each partition checks `F(s) ∧ T(s,i,s') ∧ bad(s',i')`
+//! (with `i'` fresh input copies) by SAT. A hit is a counterexample one
+//! step deeper than `F`, so the image that would contain the bad state is
+//! never built. Every deeper frontier is covered this way, so the plain
+//! `F ∧ bad` check runs only on the initial frontier.
 
 use cbq_aig::{AigPerfCounters, Lit};
 use cbq_ckt::{Network, Trace};
@@ -84,10 +91,30 @@ pub struct ForwardCircuitUmcStats {
     pub solver: SolverStats,
 }
 
+/// Where a partition found a bad state.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Hit {
+    /// In the frontier itself (only checked on the initial frontier).
+    Frontier,
+    /// In a successor of the frontier, one step deeper.
+    Successor,
+}
+
+impl Hit {
+    /// The SAT query whose models are this hit's counterexample ends:
+    /// `F ∧ bad`, or `F(s) ∧ T(s,i,s') ∧ bad(s',i')`.
+    fn query(self, p: &Partition, frontier: Lit) -> [Lit; 3] {
+        match self {
+            Hit::Frontier => [frontier, p.bad, Lit::TRUE],
+            Hit::Successor => [frontier, p.trans, p.bad_next],
+        }
+    }
+}
+
 /// One partition worker's contribution to a forward iteration.
 struct FwdStep {
     image: Lit,
-    cex: bool,
+    cex: Option<Hit>,
     bounded: Option<Verdict>,
     aborts: usize,
     cofactors: usize,
@@ -98,7 +125,7 @@ impl FwdStep {
     fn empty() -> FwdStep {
         FwdStep {
             image: Lit::FALSE,
-            cex: false,
+            cex: None,
             bounded: None,
             aborts: 0,
             cofactors: 0,
@@ -191,10 +218,15 @@ impl ForwardCircuitUmc {
                 let checks = self.seal(stats, &ss);
                 return (bounded, checks);
             }
-            // Counterexample: a frontier state fires bad under some input
-            // (lowest partition index, for determinism).
-            if let Some(t) = steps.iter().position(|s| s.cex) {
-                let trace = self.extract_trace(&mut ss, iter, t);
+            // Counterexample: a frontier state, or failing that a
+            // successor of one, fires bad under some input (shallowest
+            // hit, then lowest partition index, for determinism).
+            let hit = [Hit::Frontier, Hit::Successor].into_iter().find_map(|h| {
+                let t = steps.iter().position(|s| s.cex == Some(h))?;
+                Some((t, h))
+            });
+            if let Some((t, h)) = hit {
+                let trace = self.extract_trace(&mut ss, iter, t, h);
                 let checks = self.seal(stats, &ss);
                 return (Verdict::Unsafe { trace }, checks);
             }
@@ -221,7 +253,9 @@ impl ForwardCircuitUmc {
     }
 
     /// One partition's share of a forward iteration: the bad-intersection
-    /// check, then image = quantify + rename, then the local sweep.
+    /// checks (the frontier itself on iteration 0, its successors on
+    /// every iteration), then image = quantify + rename, then the local
+    /// sweep.
     fn partition_step(&self, p: &mut Partition, iter: usize, meter: &Meter) -> FwdStep {
         if let Some(bounded) = meter.exceeded(iter, p.aig.num_nodes(), 0) {
             return FwdStep {
@@ -232,9 +266,18 @@ impl ForwardCircuitUmc {
         if p.frontier == Lit::FALSE {
             return FwdStep::empty();
         }
-        if p.cnf.solve_under(&p.aig, &[p.frontier, p.bad]) == SatResult::Sat {
+        let checks: &[Hit] = if iter == 0 {
+            &[Hit::Frontier, Hit::Successor]
+        } else {
+            &[Hit::Successor]
+        };
+        let hit = checks.iter().copied().find(|h| {
+            let query = h.query(p, p.frontier);
+            p.cnf.solve_under(&p.aig, &query) == SatResult::Sat
+        });
+        if hit.is_some() {
             return FwdStep {
-                cex: true,
+                cex: hit,
                 ..FwdStep::empty()
             };
         }
@@ -263,7 +306,7 @@ impl ForwardCircuitUmc {
         p.sweep_if_due(&mut extra);
         FwdStep {
             image: extra[0],
-            cex: false,
+            cex: None,
             bounded: None,
             aborts: q.aborts,
             cofactors: q.cofactors,
@@ -284,18 +327,22 @@ impl ForwardCircuitUmc {
 
     /// Walks the counterexample backwards through the forward frontiers
     /// (searching partitions in index order at each level), then emits
-    /// the input sequence in forward order.
-    fn extract_trace(&self, ss: &mut StateSet, level: usize, t0: usize) -> Trace {
-        // Concrete final state (in partition t0's frontier) plus the bad
-        // input.
+    /// the input sequence in forward order. The walk starts from the
+    /// frontier state of partition `t0` at `level` that `hit` found.
+    fn extract_trace(&self, ss: &mut StateSet, level: usize, t0: usize, hit: Hit) -> Trace {
+        // Concrete frontier state plus its input; a successor hit also
+        // yields the bad input `i'` of the step after it.
         let (mut states_rev, mut inputs_rev) = {
             let p = &mut ss.parts[t0];
-            let r = p.cnf.solve_under(&p.aig, &[p.frontiers[level], p.bad]);
+            let mut inputs_rev = Vec::new();
+            let query = hit.query(p, p.frontiers[level]);
+            let r = p.cnf.solve_under(&p.aig, &query);
             debug_assert_eq!(r, SatResult::Sat);
-            (
-                vec![read_vars(&p.aig, &p.latches, &p.cnf)],
-                vec![read_vars(&p.aig, &p.pis, &p.cnf)],
-            )
+            if hit == Hit::Successor {
+                inputs_rev.push(read_vars(&p.aig, &p.next_pis, &p.cnf));
+            }
+            inputs_rev.push(read_vars(&p.aig, &p.pis, &p.cnf));
+            (vec![read_vars(&p.aig, &p.latches, &p.cnf)], inputs_rev)
         };
         for l in (0..level).rev() {
             let target = states_rev.last().expect("non-empty").clone();
@@ -364,6 +411,52 @@ mod tests {
         }
     }
 
+    /// A 3-bit counter that counts while input `en` holds; bad fires at 5
+    /// only when `go` is high and `en` low. Reaching bad needs `en` high
+    /// on the step into 5 and low on the final step, so the one-step-ahead
+    /// check must read fresh input copies for bad.
+    fn counter_bad_reads_inputs() -> Network {
+        let mut b = Network::builder("en-counter");
+        let c = b.add_latch_word(3, 0);
+        let en = b.add_input().lit();
+        let go = b.add_input().lit();
+        let aig = b.aig_mut();
+        let mut carry = en;
+        let mut next = Vec::new();
+        for v in &c {
+            next.push(aig.xor(v.lit(), carry));
+            carry = aig.and(v.lit(), carry);
+        }
+        let five = aig.and_many(&[c[0].lit(), !c[1].lit(), c[2].lit()]);
+        let bad = aig.and_many(&[five, go, !en]);
+        for (v, n) in c.iter().zip(next) {
+            b.set_next(*v, n);
+        }
+        b.build(bad)
+    }
+
+    #[test]
+    fn successor_hits_read_fresh_input_copies() {
+        let net = counter_bad_reads_inputs();
+        let bmc = crate::bmc::Bmc::default().check(&net, &Budget::unlimited());
+        let depth = match &bmc.verdict {
+            Verdict::Unsafe { trace } => trace.len() - 1,
+            other => panic!("BMC: expected unsafe, got {other}"),
+        };
+        assert_eq!(depth, 5);
+        check_unsafe(&ForwardCircuitUmc::default(), &net, Some(depth));
+        for policy in [SplitPolicy::LatchCofactor, SplitPolicy::FrontierOrigin] {
+            let engine = ForwardCircuitUmc {
+                partition: PartitionConfig {
+                    split: policy,
+                    ..PartitionConfig::with_count(PartitionCount::Fixed(3))
+                },
+                ..ForwardCircuitUmc::default()
+            };
+            check_unsafe(&engine, &net, Some(depth));
+        }
+    }
+
     #[test]
     fn forward_iterations_match_reachable_diameter() {
         // bounded_counter(3, 5): 5 reachable states (0..4), so the
@@ -422,6 +515,8 @@ mod tests {
             generators::token_ring(4),
             generators::token_ring_bug(5),
             generators::counter_bug(4, 5),
+            generators::shift_ones(6),
+            generators::counter_bug(5, 9),
         ] {
             let mono = ForwardCircuitUmc::default().check(&net, &Budget::unlimited());
             for policy in [SplitPolicy::LatchCofactor, SplitPolicy::FrontierOrigin] {

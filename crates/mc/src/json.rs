@@ -69,7 +69,7 @@ pub fn solver_json(s: &SolverStats) -> String {
     format!(
         "{{\"solves\":{},\"decisions\":{},\"propagations\":{},\"conflicts\":{},\
          \"restarts\":{},\"learnts\":{},\"deleted\":{},\"reduces\":{},\
-         \"recycled_vars\":{},\"arena_bytes\":{},\"lbd_hist\":{}}}",
+         \"recycled_vars\":{},\"arena_bytes\":{},\"lbd_hist\":{},\"scoped_solves\":{}}}",
         s.solves,
         s.decisions,
         s.propagations,
@@ -80,7 +80,8 @@ pub fn solver_json(s: &SolverStats) -> String {
         s.reduces,
         s.recycled_vars,
         s.arena_bytes(),
-        json_u64_list(&s.lbd_hist)
+        json_u64_list(&s.lbd_hist),
+        s.scoped_solves
     )
 }
 

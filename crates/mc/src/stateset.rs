@@ -196,6 +196,9 @@ pub struct Partition {
     pub latches: Vec<Var>,
     /// Fresh next-state variables `s'` (forward traversals only).
     pub next_vars: Vec<Var>,
+    /// Fresh next-step input copies `i'`, in network order (forward
+    /// traversals only).
+    pub next_pis: Vec<Var>,
     /// Next-state functions δ, in latch order.
     pub deltas: Vec<Lit>,
     /// The transition relation `∧ⱼ (s'ⱼ ≡ δⱼ)` (forward traversals;
@@ -203,6 +206,10 @@ pub struct Partition {
     pub trans: Lit,
     /// The bad-state function.
     pub bad: Lit,
+    /// `bad(s', i')`: the bad-state function one step ahead, over the
+    /// next-state variables and input copies (forward traversals;
+    /// [`Lit::FALSE`] for backward ones).
+    pub bad_next: Lit,
     /// The initial-state cube.
     pub init: Lit,
     /// The window cube as (latch ordinal, value) pairs; empty = the whole
@@ -235,8 +242,13 @@ impl Partition {
         node_limit: Option<usize>,
     ) -> Partition {
         let mut aig = net.aig().clone();
-        let (next_vars, trans) = if forward {
+        let (next_vars, next_pis, trans, bad_next) = if forward {
             let next_vars: Vec<Var> = net.latches().iter().map(|_| aig.add_input()).collect();
+            let next_pis: Vec<Var> = net
+                .primary_inputs()
+                .iter()
+                .map(|_| aig.add_input())
+                .collect();
             let eqs: Vec<Lit> = net
                 .latches()
                 .iter()
@@ -244,9 +256,17 @@ impl Partition {
                 .map(|(l, nv)| aig.iff(nv.lit(), l.next))
                 .collect();
             let trans = aig.and_many(&eqs);
-            (next_vars, trans)
+            let shift: Vec<(Var, Lit)> = net
+                .latch_vars()
+                .into_iter()
+                .zip(&next_vars)
+                .chain(net.primary_inputs().iter().copied().zip(&next_pis))
+                .map(|(v, nv)| (v, nv.lit()))
+                .collect();
+            let bad_next = aig.compose(net.bad(), &shift);
+            (next_vars, next_pis, trans, bad_next)
         } else {
-            (Vec::new(), Lit::TRUE)
+            (Vec::new(), Vec::new(), Lit::TRUE, Lit::FALSE)
         };
         let init = net.initial_cube().to_lit(&mut aig);
         let (reached, frontier, frontiers, parts) = if forward {
@@ -269,9 +289,11 @@ impl Partition {
             pis: net.primary_inputs().to_vec(),
             latches: net.latch_vars(),
             next_vars,
+            next_pis,
             deltas: net.latches().iter().map(|l| l.next).collect(),
             trans,
             bad: net.bad(),
+            bad_next,
             init,
             window: Vec::new(),
             window_lit: Lit::TRUE,
@@ -295,9 +317,11 @@ impl Partition {
             pis: self.pis.clone(),
             latches: self.latches.clone(),
             next_vars: self.next_vars.clone(),
+            next_pis: self.next_pis.clone(),
             deltas: self.deltas.clone(),
             trans: self.trans,
             bad: self.bad,
+            bad_next: self.bad_next,
             init: self.init,
             window: self.window.clone(),
             window_lit: self.window_lit,
@@ -380,6 +404,7 @@ impl Partition {
         let mut lits: Vec<&mut Lit> = vec![
             &mut self.trans,
             &mut self.bad,
+            &mut self.bad_next,
             &mut self.init,
             &mut self.window_lit,
             &mut self.reached,
@@ -394,6 +419,7 @@ impl Partition {
             .iter_mut()
             .chain(self.latches.iter_mut())
             .chain(self.next_vars.iter_mut())
+            .chain(self.next_pis.iter_mut())
             .collect();
         let ran = sweeper.run_if_due(&mut self.aig, &mut self.cnf, lits, vars);
         self.sweeper = Some(sweeper);

@@ -22,6 +22,9 @@
 //! * **incremental solving under assumptions** ([`Solver::solve_with`]):
 //!   the clause database (including learnt clauses) persists across calls,
 //!   so successive equivalence checks share everything already derived,
+//! * **cone-scoped solves** ([`Solver::solve_in_cone`]) for definitional
+//!   (Tseitin) databases: decisions and propagation above level 0 stay
+//!   inside the fanin closure of the assumptions,
 //! * failed-assumption extraction ([`Solver::failed_assumptions`]) and
 //!   **per-call** conflict budgets ([`Solver::set_conflict_budget`]) for
 //!   abortable checks,
@@ -60,5 +63,5 @@ pub mod reference;
 
 pub use crate::backend::SatBackend;
 pub use crate::proof::{ClauseId, ProofEvent, ProofLog, ProofMode};
-pub use crate::solver::{Solver, SolverStats, LBD_BUCKETS};
+pub use crate::solver::{Solver, SolverStats, LBD_BUCKETS, NO_FANIN};
 pub use crate::types::{Lbool, SatLit, SatResult, SatVar};

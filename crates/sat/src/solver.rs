@@ -20,6 +20,13 @@
 //! * **Per-call conflict budgets** — [`Solver::set_conflict_budget`]
 //!   bounds each `solve`/`solve_with` call independently: every call gets
 //!   the full budget, nothing leaks from earlier calls.
+//! * **Cone-scoped solves** — [`Solver::solve_in_cone`] decides and
+//!   propagates (above level 0) only inside the fanin closure of the
+//!   assumptions, for purely definitional databases; see its doc for the
+//!   soundness invariant.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::arena::{CRef, ClauseArena};
 use crate::proof::{ClauseId, ProofLog, ProofMode};
@@ -67,6 +74,10 @@ pub struct SolverStats {
     /// LBD `i + 1`; the last bucket collects everything at or above
     /// [`LBD_BUCKETS`].
     pub lbd_hist: [u64; LBD_BUCKETS],
+    /// Solves answered inside the assumptions' cone by
+    /// [`Solver::solve_in_cone`] (the rest of its calls fell back to a
+    /// whole-database solve).
+    pub scoped_solves: u64,
 }
 
 impl SolverStats {
@@ -90,6 +101,7 @@ impl SolverStats {
         self.released_vars += other.released_vars;
         self.recycled_vars += other.recycled_vars;
         self.arena_words += other.arena_words;
+        self.scoped_solves += other.scoped_solves;
         for (slot, n) in self.lbd_hist.iter_mut().zip(other.lbd_hist.iter()) {
             *slot += n;
         }
@@ -100,6 +112,16 @@ const VAR_DECAY: f64 = 0.95;
 const RESTART_BASE: u64 = 100;
 /// Learnt clauses with LBD at or below this glue tier are never deleted.
 const GLUE_KEEP: u32 = 2;
+
+/// [`Solver::solve_in_cone`] solves the whole database instead once the
+/// domain holds more than `1 / CONE_FALLBACK_SHARE` of the variable
+/// table: past that, the walk and the stamps cost about what scoping
+/// saves (a BMC unrolling's domain is the whole unrolling).
+const CONE_FALLBACK_SHARE: usize = 2;
+
+/// Marks a variable without fanins (an input, an activation literal, …)
+/// in the fanin table of [`Solver::solve_in_cone`].
+pub const NO_FANIN: [u32; 2] = [u32::MAX, u32::MAX];
 
 /// A conflict-driven clause-learning SAT solver.
 ///
@@ -140,6 +162,17 @@ pub struct Solver {
     failed: Vec<SatLit>,
     model: Vec<Lbool>,
     stats: SolverStats,
+    /// Cone-scoped solving ([`Solver::solve_in_cone`]): a variable is in
+    /// the current domain iff its stamp equals `cone_token`; `cone_active`
+    /// is set only for the duration of a scoped solve.
+    cone_stamp: Vec<u32>,
+    cone_token: u32,
+    cone_active: bool,
+    /// The current domain, in walk order (reused scratch).
+    cone_vars: Vec<u32>,
+    /// Domain-local branching order: a lazy max-heap on (activity bits,
+    /// lowest index first) that may hold stale or assigned entries.
+    cone_heap: BinaryHeap<(u64, Reverse<u32>)>,
     /// Resolution provenance, allocated only when a [`ProofMode`] other
     /// than `Off` is selected — the hot path pays one `is_some` branch.
     proof: Option<Box<ProofLog>>,
@@ -185,6 +218,11 @@ impl Solver {
             failed: Vec::new(),
             model: Vec::new(),
             stats: SolverStats::default(),
+            cone_stamp: Vec::new(),
+            cone_token: 0,
+            cone_active: false,
+            cone_vars: Vec::new(),
+            cone_heap: BinaryHeap::new(),
             proof: None,
         }
     }
@@ -264,6 +302,7 @@ impl Solver {
         self.heap_pos.push(-1);
         self.seen.push(false);
         self.lbd_stamp.push(0);
+        self.cone_stamp.push(0);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.heap_insert(v.0);
@@ -504,6 +543,15 @@ impl Solver {
                     self.qhead = self.trail.len();
                     return Some(w.cref);
                 }
+                if self.cone_active
+                    && !self.trail_lim.is_empty()
+                    && self.cone_stamp[first.var().index()] != self.cone_token
+                {
+                    // Out-of-cone implication above level 0: leave the
+                    // clause unit but unpropagated (see `solve_in_cone`).
+                    i += 1;
+                    continue;
+                }
                 if self.proof.is_some() && self.trail_lim.is_empty() {
                     self.proof_level0_unit(first, w.cref);
                 }
@@ -741,16 +789,49 @@ impl Solver {
             self.phase[v] = !l.is_negative();
             self.assigns[v] = Lbool::Undef;
             self.reason[v] = None;
-            if self.decision[v] && self.heap_pos[v] < 0 {
-                self.heap_insert(v as u32);
+            if self.decision[v] {
+                if self.heap_pos[v] < 0 {
+                    self.heap_insert(v as u32);
+                }
+                if self.cone_active {
+                    self.cone_heap
+                        .push((self.activity[v].to_bits(), Reverse(v as u32)));
+                }
             }
         }
         self.trail.truncate(bound);
         self.trail_lim.truncate(target);
         self.qhead = bound;
+        // Duplicates pile up in the lazy cone heap; rebuild it once they
+        // outnumber the domain.
+        if self.cone_active && self.cone_heap.len() > 2 * self.cone_vars.len() + 64 {
+            self.fill_cone_heap();
+        }
+    }
+
+    /// Refills the cone heap with every unassigned decision variable of
+    /// the domain (heapified in place: no allocation once warm).
+    fn fill_cone_heap(&mut self) {
+        let mut entries = std::mem::take(&mut self.cone_heap).into_vec();
+        entries.clear();
+        entries.extend(
+            self.cone_vars
+                .iter()
+                .filter(|&&v| self.decision[v as usize] && self.assigns[v as usize] == Lbool::Undef)
+                .map(|&v| (self.activity[v as usize].to_bits(), Reverse(v))),
+        );
+        self.cone_heap = BinaryHeap::from(entries);
     }
 
     fn pick_branch_var(&mut self) -> Option<SatVar> {
+        if self.cone_active {
+            while let Some((_, Reverse(v))) = self.cone_heap.pop() {
+                if self.assigns[v as usize] == Lbool::Undef && self.decision[v as usize] {
+                    return Some(SatVar(v));
+                }
+            }
+            return None;
+        }
         while let Some(v) = self.heap_pop() {
             if self.assigns[v as usize] == Lbool::Undef && self.decision[v as usize] {
                 return Some(SatVar(v));
@@ -1109,6 +1190,89 @@ impl Solver {
                 }
             }
         }
+    }
+
+    /// Solves under `assumptions` inside their cone: the solver decides
+    /// only variables of the *domain* — the closure of the assumption
+    /// variables under `fanins` (`fanins[v]` names the two fanin
+    /// variables of gate variable `v`, [`NO_FANIN`] for anything else) —
+    /// never enqueues an out-of-domain literal above decision level 0,
+    /// and answers [`SatResult::Sat`] once every domain decision variable
+    /// is assigned. Level 0 stays unrestricted. Out-of-domain variables
+    /// are left unassigned by the model unless level 0 fixed them. The
+    /// domain is stamped per variable, so the walk allocates nothing once
+    /// the scratch buffers are warm.
+    ///
+    /// **Soundness invariant** (the caller's obligation):
+    ///
+    /// * the database is *definitional*: every clause is a gate
+    ///   definition `v ≡ a ∧ b` over the variables `fanins` records for
+    ///   `v` (possibly under an activation literal that is assumed), a
+    ///   constant, a clause implied by those definitions (proven
+    ///   equivalences, learnt clauses), or satisfied at level 0;
+    /// * `fanins` is exact for every gate variable a clause defines.
+    ///
+    /// Then the domain is fanin-closed, so a conflict-free total
+    /// assignment of it fixes the value of every domain gate as a
+    /// function of the domain's free variables; evaluating every other
+    /// gate on those values (any value for out-of-domain free variables)
+    /// extends it to a model of the whole database. `Unsat` answers need
+    /// no argument: scoping only withholds implications, and every
+    /// learnt clause is still derived by resolution.
+    ///
+    /// A domain holding more than half of the variable table is not
+    /// worth scoping: the walk stops there and the call solves exactly
+    /// as [`Solver::solve_with`]. Calls answered in the domain are
+    /// counted in [`SolverStats::scoped_solves`].
+    pub fn solve_in_cone(&mut self, assumptions: &[SatLit], fanins: &[[u32; 2]]) -> SatResult {
+        if !self.mark_cone(assumptions, fanins) {
+            return self.solve_with(assumptions);
+        }
+        self.stats.scoped_solves += 1;
+        self.cone_active = true;
+        self.fill_cone_heap();
+        let r = self.solve_with(assumptions);
+        self.cone_active = false;
+        r
+    }
+
+    /// Stamps the fanin closure of the assumption variables into
+    /// `cone_vars`; `false` once it passes half the variable table.
+    fn mark_cone(&mut self, assumptions: &[SatLit], fanins: &[[u32; 2]]) -> bool {
+        self.cone_token = self.cone_token.wrapping_add(1);
+        if self.cone_token == 0 {
+            self.cone_stamp.fill(0);
+            self.cone_token = 1;
+        }
+        let cap = self.num_vars() / CONE_FALLBACK_SHARE;
+        let token = self.cone_token;
+        self.cone_vars.clear();
+        for a in assumptions {
+            let v = a.var().index();
+            if self.cone_stamp[v] != token {
+                self.cone_stamp[v] = token;
+                self.cone_vars.push(v as u32);
+            }
+        }
+        let mut next = 0;
+        while next < self.cone_vars.len() {
+            if self.cone_vars.len() > cap {
+                return false;
+            }
+            let v = self.cone_vars[next] as usize;
+            next += 1;
+            let Some(&pair) = fanins.get(v) else { continue };
+            if pair == NO_FANIN {
+                continue;
+            }
+            for f in pair {
+                if self.cone_stamp[f as usize] != token {
+                    self.cone_stamp[f as usize] = token;
+                    self.cone_vars.push(f);
+                }
+            }
+        }
+        self.cone_vars.len() <= cap
     }
 
     fn search(&mut self, conflict_limit: u64, assumptions: &[SatLit]) -> Option<SatResult> {
@@ -1565,15 +1729,51 @@ mod tests {
         let mut b = SolverStats {
             conflicts: 4,
             arena_words: 5,
+            scoped_solves: 2,
             ..SolverStats::default()
         };
         b.lbd_hist[0] = 1;
         b.lbd_hist[7] = 6;
         a.absorb(&b);
         assert_eq!(a.conflicts, 7);
+        assert_eq!(a.scoped_solves, 2);
         assert_eq!(a.arena_words, 15);
         assert_eq!(a.lbd_hist[0], 3);
         assert_eq!(a.lbd_hist[7], 6);
+    }
+
+    #[test]
+    fn cone_scoped_solves_stay_inside_the_cone() {
+        // Two independent Tseitin gates g = a ∧ b and h = c ∧ d.
+        let mut s = Solver::new();
+        let v = vars(&mut s, 6);
+        let (a, b, c, d, g, h) = (v[0], v[1], v[2], v[3], v[4], v[5]);
+        for (out, x, y) in [(g, a, b), (h, c, d)] {
+            s.add_clause(&[out.neg(), x.pos()]);
+            s.add_clause(&[out.neg(), y.pos()]);
+            s.add_clause(&[out.pos(), x.neg(), y.neg()]);
+        }
+        let mut fanins = vec![NO_FANIN; 6];
+        fanins[g.index()] = [a.0, b.0];
+        fanins[h.index()] = [c.0, d.0];
+        // SAT inside g's cone: h's cone is never touched.
+        assert_eq!(s.solve_in_cone(&[g.pos()], &fanins), SatResult::Sat);
+        assert_eq!((s.value(a), s.value(b)), (Some(true), Some(true)));
+        assert_eq!((s.value(c), s.value(d), s.value(h)), (None, None, None));
+        // UNSAT inside the cone.
+        assert_eq!(
+            s.solve_in_cone(&[g.pos(), a.neg()], &fanins),
+            SatResult::Unsat
+        );
+        assert_eq!(s.stats().scoped_solves, 2);
+        s.check_watches_dbg("after scoped solves");
+        // A domain past half the variable table solves as `solve_with`.
+        assert_eq!(
+            s.solve_in_cone(&[g.pos(), h.neg()], &fanins),
+            SatResult::Sat
+        );
+        assert_eq!(s.stats().scoped_solves, 2);
+        assert!(s.value(c).is_some() && s.value(h) == Some(false));
     }
 
     #[test]

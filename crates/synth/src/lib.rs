@@ -53,6 +53,7 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use cbq_aig::sim::BitSim;
 use cbq_aig::{Aig, Lit, Node, Var};
@@ -74,6 +75,10 @@ pub struct OptConfig {
     /// Maximum ODC validation checks per pass (each needs a full
     /// equivalence proof, so keep this small).
     pub max_odc_checks: usize,
+    /// Cooperative cancellation: once this instant passes, the passes
+    /// stop issuing validation checks and apply what they have proven
+    /// (every accepted transform is already sound on its own).
+    pub deadline: Option<Instant>,
 }
 
 impl Default for OptConfig {
@@ -85,7 +90,15 @@ impl Default for OptConfig {
             max_checks: 512,
             use_odc: false,
             max_odc_checks: 32,
+            deadline: None,
         }
+    }
+}
+
+impl OptConfig {
+    /// Whether the cooperative deadline has passed.
+    fn past_deadline(&self) -> bool {
+        matches!(self.deadline, Some(d) if Instant::now() >= d)
     }
 }
 
@@ -212,7 +225,7 @@ pub fn dc_simplify(
         members.sort_unstable();
         let repr = members[0];
         for &member in &members[1..] {
-            if checks >= cfg.max_checks {
+            if checks >= cfg.max_checks || cfg.past_deadline() {
                 break;
             }
             if merges.contains_key(&member.var()) || member.var() == repr.var() {
@@ -284,7 +297,7 @@ pub fn odc_simplify(
             _ => continue,
         };
         for candidate in [Lit::FALSE, Lit::TRUE, f0, f1] {
-            if checks >= cfg.max_odc_checks {
+            if checks >= cfg.max_odc_checks || cfg.past_deadline() {
                 break;
             }
             checks += 1;
@@ -562,6 +575,30 @@ mod tests {
         let (nf0, _stats) = dc_simplify(&mut aig, f1, f0, &mut cnf, &OptConfig::default());
         let after = aig.or(f1, nf0);
         assert!(exhaustive_equal(&aig, before, after, 4));
+    }
+
+    #[test]
+    fn passes_issue_no_checks_past_the_deadline() {
+        // The known-shrinking case of `dc_simplify_shrinks_known_case`,
+        // under an already-expired deadline: no SAT check is issued and
+        // the target comes back unchanged.
+        let mut aig = Aig::new();
+        let a = aig.add_input().lit();
+        let b = aig.add_input().lit();
+        let c = aig.add_input().lit();
+        let t0 = aig.and(!a, b);
+        let target = aig.and(t0, c);
+        let cfg = OptConfig {
+            use_odc: true,
+            deadline: Some(Instant::now()),
+            ..OptConfig::default()
+        };
+        let mut cnf = AigCnf::new();
+        let (nt, stats) = dc_simplify(&mut aig, a, target, &mut cnf, &cfg);
+        assert_eq!((nt, stats.checks), (target, 0));
+        let (nt, stats) = odc_simplify(&mut aig, a, target, &mut cnf, &cfg);
+        assert_eq!((nt, stats.checks), (target, 0));
+        assert_eq!(cnf.stats().checks, 0, "a SAT check ran past the deadline");
     }
 
     #[test]
