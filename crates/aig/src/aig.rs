@@ -1,99 +1,9 @@
 //! The append-only, structurally hashed AIG manager.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::lit::{Lit, Var};
 use crate::node::Node;
-
-/// Hot-path implementation selection for the manager.
-///
-/// The default ([`AigTuning::full`]) is the fast configuration: an
-/// open-addressing strash, the generation-stamped dense compose/cofactor
-/// scratchpad, support-limited cofactoring, and the cofactor cache. Each
-/// feature can be disabled independently, falling back to a plain
-/// reference implementation (per-call `HashMap`s, full-cone rebuilds).
-/// The reference rungs exist for two reasons: the `e6q` bench ablates
-/// each feature against them, and the property tests pin the fast paths
-/// *bit-identical* to the reference paths on random circuits.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct AigTuning {
-    /// Open-addressing strash (off: reference `HashMap` strash).
-    pub open_strash: bool,
-    /// Generation-stamped dense compose/cofactor memo (off: reference
-    /// per-call `HashMap` memo).
-    pub dense_scratch: bool,
-    /// Support-limited cofactoring: nodes outside the substituted
-    /// variables' dependent sub-cone are copied through unchanged instead
-    /// of being re-issued through [`Aig::and`].
-    pub support_limited: bool,
-    /// The direct-mapped (root, var, phase) cofactor cache.
-    pub cofactor_cache: bool,
-}
-
-impl AigTuning {
-    /// Every fast path enabled (the default).
-    pub const fn full() -> AigTuning {
-        AigTuning {
-            open_strash: true,
-            dense_scratch: true,
-            support_limited: true,
-            cofactor_cache: true,
-        }
-    }
-
-    /// Every fast path disabled: the straightforward `HashMap`-based
-    /// implementation, kept as the differential-testing oracle and the
-    /// baseline rung of the `e6q` ablation.
-    pub const fn reference() -> AigTuning {
-        AigTuning {
-            open_strash: false,
-            dense_scratch: false,
-            support_limited: false,
-            cofactor_cache: false,
-        }
-    }
-
-    fn to_bits(self) -> u8 {
-        (!self.open_strash as u8)
-            | (!self.dense_scratch as u8) << 1
-            | (!self.support_limited as u8) << 2
-            | (!self.cofactor_cache as u8) << 3
-    }
-
-    fn from_bits(bits: u8) -> AigTuning {
-        AigTuning {
-            open_strash: bits & 1 == 0,
-            dense_scratch: bits & 2 == 0,
-            support_limited: bits & 4 == 0,
-            cofactor_cache: bits & 8 == 0,
-        }
-    }
-
-    /// Sets the tuning that [`Aig::new`] gives to freshly created managers,
-    /// process-wide. This exists so a bench harness can ablate one feature
-    /// across a whole engine run (which creates managers internally, e.g.
-    /// one per state-set partition) without threading a knob through every
-    /// layer; production code never calls it.
-    pub fn set_process_default(tuning: AigTuning) {
-        DEFAULT_TUNING.store(tuning.to_bits(), Ordering::Relaxed);
-    }
-
-    /// The tuning [`Aig::new`] currently hands to new managers.
-    pub fn process_default() -> AigTuning {
-        AigTuning::from_bits(DEFAULT_TUNING.load(Ordering::Relaxed))
-    }
-}
-
-impl Default for AigTuning {
-    fn default() -> AigTuning {
-        AigTuning::full()
-    }
-}
-
-/// `AigTuning::full()` encodes to 0, so the static default is all-fast.
-static DEFAULT_TUNING: AtomicU8 = AtomicU8::new(0);
 
 /// Snapshot of the manager's hot-path work counters. Counters only ever
 /// grow within one manager (compaction builds a fresh manager and resets
@@ -101,13 +11,9 @@ static DEFAULT_TUNING: AtomicU8 = AtomicU8::new(0);
 /// attribute work to a phase.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct AigPerfCounters {
-    /// Strash slots inspected by [`Aig::and`] lookups (one per lookup in
-    /// the reference `HashMap` mode).
+    /// Strash slots inspected by [`Aig::and`] lookups.
     pub strash_probes: u64,
-    /// Nodes visited by substitution cone walks (compose / cofactor),
-    /// counted on the dense scratchpad path and the reference `HashMap`
-    /// path alike — the rung-to-rung drop is what support limiting and
-    /// multi-root walk sharing save.
+    /// Nodes visited by substitution cone walks (compose / cofactor).
     pub scratch_walk_nodes: u64,
     /// Cofactor-cache hits.
     pub cofactor_cache_hits: u64,
@@ -213,43 +119,6 @@ impl OpenStrash {
     }
 }
 
-/// The strash behind [`Aig::and`]: open addressing by default, with the
-/// `HashMap` original kept as the [`AigTuning`] reference rung.
-#[derive(Clone)]
-enum StrashTable {
-    Open(OpenStrash),
-    Reference(HashMap<(Lit, Lit), Var>),
-}
-
-impl StrashTable {
-    fn new(open: bool, ands: usize) -> StrashTable {
-        if open {
-            StrashTable::Open(OpenStrash::with_capacity(ands))
-        } else {
-            StrashTable::Reference(HashMap::with_capacity(ands))
-        }
-    }
-
-    fn get(&self, f0: Lit, f1: Lit, probes: &mut u64) -> Option<Var> {
-        match self {
-            StrashTable::Open(t) => t.get((f0.code(), f1.code()), probes),
-            StrashTable::Reference(m) => {
-                *probes += 1;
-                m.get(&(f0, f1)).copied()
-            }
-        }
-    }
-
-    fn insert(&mut self, f0: Lit, f1: Lit, var: Var) {
-        match self {
-            StrashTable::Open(t) => t.insert((f0.code(), f1.code()), var),
-            StrashTable::Reference(m) => {
-                m.insert((f0, f1), var);
-            }
-        }
-    }
-}
-
 /// Generation-stamped dense scratchpad for compose/cofactor cone walks.
 ///
 /// "Clearing" is a generation bump, not a memset: an entry is live iff its
@@ -271,8 +140,7 @@ struct Scratch {
     /// Reusable traversal buffers (old-node indices).
     order: Vec<u32>,
     stack: Vec<u32>,
-    /// Total nodes visited by substitution walks, dense or reference
-    /// (perf counter).
+    /// Total nodes visited by substitution walks (perf counter).
     walk_nodes: u64,
 }
 
@@ -445,15 +313,15 @@ impl ConeSizeCache {
 /// generation-stamped scratchpad for cone walks, support-limited
 /// cofactoring (the sub-cone that does not depend on the substituted
 /// variable is copied through unchanged), and a direct-mapped cofactor
-/// cache. See [`AigTuning`] for the knobs and [`Aig::perf_counters`] for
-/// the work counters.
+/// cache. [`Aig::perf_counters`] reports the work counters. The
+/// property tests pin every result bit-identical to a plain `HashMap`
+/// full-cone rebuild.
 #[derive(Clone)]
 pub struct Aig {
     nodes: Vec<Node>,
-    strash: StrashTable,
+    strash: OpenStrash,
     inputs: Vec<Var>,
     level: Vec<u32>,
-    tuning: AigTuning,
     scratch: Scratch,
     cof_cache: CofactorCache,
     cone_cache: ConeSizeCache,
@@ -467,20 +335,13 @@ impl Default for Aig {
 }
 
 impl Aig {
-    /// Creates an empty manager containing only the constant node, with
-    /// the process-default [`AigTuning`].
+    /// Creates an empty manager containing only the constant node.
     pub fn new() -> Aig {
-        Aig::with_tuning(AigTuning::process_default())
-    }
-
-    /// Creates an empty manager with an explicit hot-path tuning.
-    pub fn with_tuning(tuning: AigTuning) -> Aig {
         Aig {
             nodes: vec![Node::Const],
-            strash: StrashTable::new(tuning.open_strash, 16),
+            strash: OpenStrash::with_capacity(16),
             inputs: Vec::new(),
             level: vec![0],
-            tuning,
             scratch: Scratch::default(),
             cof_cache: CofactorCache::default(),
             cone_cache: ConeSizeCache::default(),
@@ -503,37 +364,11 @@ impl Aig {
         aig
     }
 
-    /// The active hot-path tuning.
-    pub fn tuning(&self) -> AigTuning {
-        self.tuning
-    }
-
-    /// Switches the hot-path tuning. Swapping the strash implementation
-    /// rebuilds the table from the (immutable) node list; results are
-    /// never affected, only the machinery computing them.
-    pub fn set_tuning(&mut self, tuning: AigTuning) {
-        if tuning.open_strash != self.tuning.open_strash {
-            let mut table = StrashTable::new(tuning.open_strash, self.num_ands());
-            for (i, n) in self.nodes.iter().enumerate() {
-                if let Node::And { f0, f1 } = n {
-                    table.insert(*f0, *f1, Var::from_index(i));
-                }
-            }
-            self.strash = table;
-        }
-        if !tuning.cofactor_cache {
-            self.cof_cache = CofactorCache::default();
-        }
-        self.tuning = tuning;
-    }
-
     /// Pre-sizes the strash for about `ands` AND gates (used when a
     /// compaction knows the incoming cone size up front).
     pub(crate) fn reserve_ands(&mut self, ands: usize) {
-        if let StrashTable::Open(t) = &self.strash {
-            if t.len == 0 && t.keys.len() < ands * 2 {
-                self.strash = StrashTable::new(true, ands);
-            }
+        if self.strash.len == 0 && self.strash.keys.len() < ands * 2 {
+            self.strash = OpenStrash::with_capacity(ands);
         }
     }
 
@@ -689,14 +524,15 @@ impl Aig {
         }
         // Normalise fanin order for semi-canonicity: f0 >= f1.
         let (f0, f1) = if a.code() >= b.code() { (a, b) } else { (b, a) };
-        if let Some(var) = self.strash.get(f0, f1, &mut self.strash_probes) {
+        let key = (f0.code(), f1.code());
+        if let Some(var) = self.strash.get(key, &mut self.strash_probes) {
             return var.lit();
         }
         let var = Var::from_index(self.nodes.len());
         self.nodes.push(Node::And { f0, f1 });
         let lvl = 1 + self.level[f0.var().index()].max(self.level[f1.var().index()]);
         self.level.push(lvl);
-        self.strash.insert(f0, f1, var);
+        self.strash.insert(key, var);
         var.lit()
     }
 
@@ -820,9 +656,6 @@ impl Aig {
         if map.is_empty() {
             return f;
         }
-        if !self.tuning.dense_scratch {
-            return self.compose_reference(f, map);
-        }
         self.map_cone_scratch(&[f], map);
         self.scratch.resolve(f)
     }
@@ -836,43 +669,8 @@ impl Aig {
         if map.is_empty() {
             return roots.to_vec();
         }
-        if !self.tuning.dense_scratch {
-            return roots
-                .iter()
-                .map(|r| self.compose_reference(*r, map))
-                .collect();
-        }
         self.map_cone_scratch(roots, map);
         roots.iter().map(|r| self.scratch.resolve(*r)).collect()
-    }
-
-    /// The original `HashMap`-memo compose, kept as the reference rung
-    /// (differential oracle) behind [`AigTuning::dense_scratch`].
-    fn compose_reference(&mut self, f: Lit, map: &[(Var, Lit)]) -> Lit {
-        let subst: HashMap<Var, Lit> = map.iter().copied().collect();
-        let cone = self.collect_cone(&[f]);
-        // Count the visited region like the dense walk does, so the e6q
-        // ablation can compare nodes visited per rung: the reference walk
-        // always covers the whole cone (no support limiting, no sharing
-        // across `compose_many` roots).
-        self.scratch.walk_nodes += cone.len() as u64;
-        let mut memo: HashMap<Var, Lit> = HashMap::with_capacity(cone.len());
-        for var in cone {
-            let new = match self.nodes[var.index()] {
-                Node::Const => Lit::FALSE,
-                Node::Input { .. } => subst.get(&var).copied().unwrap_or_else(|| var.lit()),
-                Node::And { f0, f1 } => {
-                    let a = memo[&f0.var()].xor_sign(f0.is_complemented());
-                    let b = memo[&f1.var()].xor_sign(f1.is_complemented());
-                    self.and(a, b)
-                }
-            };
-            // Non-input nodes can also be substitution targets (used by
-            // node-merge transformations), taking precedence over rebuild.
-            let new = subst.get(&var).copied().unwrap_or(new);
-            memo.insert(var, new);
-        }
-        memo[&f.var()].xor_sign(f.is_complemented())
     }
 
     /// The dense-scratch substitution walk. On return, every root image is
@@ -884,7 +682,7 @@ impl Aig {
     /// never descends past it. (2) A visited gate whose resolved fanins
     /// are unchanged maps to itself without touching the strash (and a
     /// rebuilt gate with those exact fanins would strash back to the same
-    /// node, so the shortcut is bit-identical to the reference rebuild).
+    /// node, so the shortcut is bit-identical to a full-cone rebuild).
     fn map_cone_scratch(&mut self, roots: &[Lit], map: &[(Var, Lit)]) {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.begin(self.nodes.len());
@@ -894,9 +692,6 @@ impl Aig {
         for &(v, l) in map {
             scratch.set(v, l);
             min_idx = min_idx.min(v.index());
-        }
-        if !self.tuning.support_limited {
-            min_idx = 0;
         }
         for r in roots {
             let v = r.var();
@@ -930,7 +725,7 @@ impl Aig {
                 Node::And { f0, f1 } => {
                     let a = scratch.resolve(f0);
                     let b = scratch.resolve(f1);
-                    if a == f0 && b == f1 && self.tuning.support_limited {
+                    if a == f0 && b == f1 {
                         v.lit()
                     } else {
                         self.and(a, b)
@@ -961,9 +756,6 @@ impl Aig {
     /// ```
     pub fn cofactor(&mut self, f: Lit, v: Var, value: bool) -> Lit {
         let constant = if value { Lit::TRUE } else { Lit::FALSE };
-        if !self.tuning.cofactor_cache {
-            return self.compose(f, &[(v, constant)]);
-        }
         if let Some(hit) = self.cof_cache.get(f, v, value) {
             return hit;
         }
@@ -1165,65 +957,6 @@ mod tests {
         assert_eq!(aig.node_level(a.var()), 0);
         assert_eq!(aig.node_level(ab.var()), 1);
         assert_eq!(aig.node_level(abc.var()), 2);
-    }
-
-    /// One circuit, four tunings: every rung must build byte-identical
-    /// node lists and return identical literals for every operation.
-    #[test]
-    fn tunings_are_bit_identical() {
-        let tunings = [
-            AigTuning::full(),
-            AigTuning::reference(),
-            AigTuning {
-                open_strash: false,
-                ..AigTuning::full()
-            },
-            AigTuning {
-                support_limited: false,
-                cofactor_cache: false,
-                ..AigTuning::full()
-            },
-        ];
-        let mut results: Vec<Vec<Lit>> = Vec::new();
-        let mut node_counts = Vec::new();
-        for t in tunings {
-            let mut aig = Aig::with_tuning(t);
-            let mut log = Vec::new();
-            let ins: Vec<Lit> = (0..4).map(|_| aig.add_input().lit()).collect();
-            let f = {
-                let p = aig.and(ins[0], ins[1]);
-                let q = aig.xor(ins[2], ins[3]);
-                aig.or(p, q)
-            };
-            log.push(f);
-            for input in &ins {
-                let v = input.var();
-                let (hi, lo) = aig.cofactors(f, v);
-                log.push(hi);
-                log.push(lo);
-                // Repeat: cache rung must return the identical literal.
-                log.push(aig.cofactor(f, v, true));
-            }
-            log.push(aig.compose(f, &[(ins[0].var(), ins[3]), (ins[2].var(), Lit::TRUE)]));
-            results.push(log);
-            node_counts.push(aig.num_nodes());
-        }
-        for i in 1..results.len() {
-            assert_eq!(results[0], results[i], "tuning {i} diverged");
-            assert_eq!(node_counts[0], node_counts[i], "tuning {i} node count");
-        }
-    }
-
-    #[test]
-    fn set_tuning_rebuilds_strash() {
-        let (mut aig, a, b) = two_inputs();
-        let f = aig.and(a, b);
-        aig.set_tuning(AigTuning::reference());
-        // The rebuilt HashMap strash still finds the existing node.
-        assert_eq!(aig.and(b, a), f);
-        aig.set_tuning(AigTuning::full());
-        assert_eq!(aig.and(a, b), f);
-        assert_eq!(aig.num_ands(), 1);
     }
 
     #[test]

@@ -361,10 +361,9 @@ impl Aig {
     /// node↔variable map — and therefore its whole learnt-clause
     /// database — across a garbage collection instead of re-encoding.
     pub fn compact_with_map(&self, roots: &[Lit]) -> (Aig, Vec<Lit>, Vec<Option<Lit>>) {
-        // The compacted manager inherits the tuning (so the open strash
-        // persists across GC) and pre-sizes its table to the incoming
+        // The compacted manager pre-sizes its strash to the incoming
         // cone, avoiding the rehash ladder while it refills.
-        let mut out = Aig::with_tuning(self.tuning());
+        let mut out = Aig::new();
         let cone = self.collect_cone(roots);
         out.reserve_ands(cone.len());
         let mut map: Vec<Option<Lit>> = vec![None; self.num_nodes()];

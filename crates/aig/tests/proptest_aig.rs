@@ -2,11 +2,13 @@
 //! composition semantics, compaction, simulation-vs-eval agreement and
 //! AIGER round-trips on random circuits.
 
+use std::collections::{HashMap, HashSet};
+
 use proptest::prelude::*;
 
 use cbq_aig::io::{parse_aag, write_aag};
 use cbq_aig::sim::{BitSim, TernSim};
-use cbq_aig::{Aig, AigTuning, Lit, Var};
+use cbq_aig::{Aig, Lit, Node, Var};
 
 /// A recipe for building a random circuit: a list of gate descriptors
 /// over a pool that starts with `num_inputs` inputs.
@@ -59,53 +61,44 @@ fn build(num_inputs: usize, ops: &[GateOp]) -> (Aig, Lit) {
     (aig, root)
 }
 
-/// Materialises a recipe in a manager with the given tuning.
-fn build_with(num_inputs: usize, ops: &[GateOp], tuning: AigTuning) -> (Aig, Lit) {
-    let mut aig = Aig::with_tuning(tuning);
-    let mut pool: Vec<Lit> = (0..num_inputs).map(|_| aig.add_input().lit()).collect();
-    for op in ops {
-        let pick = |i: usize| pool[i % pool.len()];
-        let l = match *op {
-            GateOp::And(a, pa, b, pb) => {
-                let x = pick(a).xor_sign(pa);
-                let y = pick(b).xor_sign(pb);
-                aig.and(x, y)
-            }
-            GateOp::Xor(a, pa, b, pb) => {
-                let x = pick(a).xor_sign(pa);
-                let y = pick(b).xor_sign(pb);
-                aig.xor(x, y)
-            }
-            GateOp::Ite(c, t, e) => {
-                let (c, t, e) = (pick(c), pick(t), pick(e));
-                aig.ite(c, t, e)
+/// The plain `HashMap` full-cone rebuild the manager's hot path is pinned
+/// against: every cone gate is re-issued through [`Aig::and`], with no
+/// support limiting, no identity shortcut and no cofactor cache.
+/// Substitution targets (inputs or gates) take their mapped literal.
+fn reference_compose(aig: &mut Aig, f: Lit, map: &[(Var, Lit)]) -> Lit {
+    let subst: HashMap<Var, Lit> = map.iter().copied().collect();
+    let mut memo: HashMap<Var, Lit> = HashMap::new();
+    for var in aig.collect_cone(&[f]) {
+        let image = match (subst.get(&var), aig.node(var)) {
+            (Some(&l), _) => l,
+            (None, Node::Const) => Lit::FALSE,
+            (None, Node::Input { .. }) => var.lit(),
+            (None, Node::And { f0, f1 }) => {
+                let a = memo[&f0.var()].xor_sign(f0.is_complemented());
+                let b = memo[&f1.var()].xor_sign(f1.is_complemented());
+                aig.and(a, b)
             }
         };
-        pool.push(l);
+        memo.insert(var, image);
     }
-    let root = *pool.last().expect("non-empty pool");
-    (aig, root)
+    memo[&f.var()].xor_sign(f.is_complemented())
 }
 
-/// The ablation ladder: reference oracle, then each fast path layered in.
-fn tuning_rungs() -> [AigTuning; 5] {
-    [
-        AigTuning::reference(),
-        AigTuning {
-            open_strash: true,
-            ..AigTuning::reference()
-        },
-        AigTuning {
-            open_strash: true,
-            dense_scratch: true,
-            ..AigTuning::reference()
-        },
-        AigTuning {
-            cofactor_cache: false,
-            ..AigTuning::full()
-        },
-        AigTuning::full(),
-    ]
+/// The first fanin pair shared by two AND nodes, if any.
+fn duplicate_fanin_pair(aig: &Aig) -> Option<(Lit, Lit)> {
+    let mut seen = HashSet::new();
+    aig.nodes()
+        .iter()
+        .filter_map(|n| n.fanins())
+        .find(|pair| !seen.insert(*pair))
+}
+
+fn constant(value: bool) -> Lit {
+    if value {
+        Lit::TRUE
+    } else {
+        Lit::FALSE
+    }
 }
 
 const N: usize = 6;
@@ -273,87 +266,52 @@ proptest! {
         }
     }
 
-    /// Differential: every tuning rung — reference `HashMap` strash and
-    /// per-call maps up to the full dense/open-addressing/cached hot path
-    /// — produces *bit-identical* managers under the same build recipe
-    /// followed by input-substitution composes and cofactors: same
-    /// literals returned, same node counts, at every step.
+    /// Bit-identity contract of the hot path: `compose`, `cofactor` (miss
+    /// and cache hit) and `cofactors` return exactly the literal the
+    /// `HashMap` full-cone rebuild computes on the same manager, and the
+    /// rebuild creates no node — every gate the support-limited walk
+    /// copied through strashes back to the node it already is.
     #[test]
-    fn tuning_rungs_are_bit_identical(
+    fn hot_path_matches_reference_rebuild(
         ops in ops_strategy(24),
         vi in 0..N,
         wi in 0..N,
         value: bool,
         phase: bool,
     ) {
-        let runs: Vec<(Vec<Lit>, usize)> = tuning_rungs()
-            .iter()
-            .map(|&tuning| {
-                let (mut aig, root) = build_with(N, &ops, tuning);
-                let v = aig.input_var(vi);
-                let w = aig.input_var(wi);
-                let mut log = vec![root];
-                // Input-only substitution: swap v for (w ^ phase).
-                log.push(aig.compose(root, &[(v, w.lit().xor_sign(phase))]));
-                log.push(aig.cofactor(root, v, value));
-                log.push(aig.cofactor(root, v, value)); // cache-hit path
-                let (f1, f0) = aig.cofactors(log[1], w);
-                log.push(f1);
-                log.push(f0);
-                (log, aig.num_nodes())
-            })
-            .collect();
-        for (rung, run) in runs.iter().enumerate().skip(1) {
-            prop_assert_eq!(&runs[0], run, "rung {} diverged from reference", rung);
-        }
+        let (mut aig, root) = build(N, &ops);
+        let v = aig.input_var(vi);
+        let w = aig.input_var(wi);
+        // Input-only substitution: swap v for (w ^ phase).
+        let swap = [(v, w.lit().xor_sign(phase))];
+        let composed = aig.compose(root, &swap);
+        let hits = aig.perf_counters().cofactor_cache_hits;
+        let cof = aig.cofactor(root, v, value);
+        let hit = aig.cofactor(root, v, value);
+        prop_assert_eq!(aig.perf_counters().cofactor_cache_hits, hits + 1);
+        let (f1, f0) = aig.cofactors(composed, w);
+        let nodes = aig.num_nodes();
+        prop_assert_eq!(composed, reference_compose(&mut aig, root, &swap));
+        prop_assert_eq!(cof, reference_compose(&mut aig, root, &[(v, constant(value))]));
+        prop_assert_eq!(hit, cof);
+        prop_assert_eq!(f1, reference_compose(&mut aig, composed, &[(w, Lit::TRUE)]));
+        prop_assert_eq!(f0, reference_compose(&mut aig, composed, &[(w, Lit::FALSE)]));
+        prop_assert_eq!(aig.num_nodes(), nodes, "the reference rebuild created nodes");
     }
 
-    /// Differential: support-limited cofactoring equals the reference
-    /// full-cone rebuild semantically on every assignment, and the result
-    /// is independent of the eliminated variable.
+    /// Strash canonicity: no two AND nodes share a fanin pair, across the
+    /// table's growth boundaries (48 recipe steps outgrow its initial
+    /// capacity) and after compaction refills a fresh table. Re-issuing
+    /// every packed gate through `and` finds the existing node each time.
     #[test]
-    fn support_limited_cofactor_matches_reference(
-        ops in ops_strategy(24),
-        vi in 0..N,
-        value: bool,
-    ) {
-        let (mut fast, froot) = build_with(N, &ops, AigTuning::full());
-        let (mut slow, sroot) = build_with(N, &ops, AigTuning::reference());
-        let fv = fast.input_var(vi);
-        let sv = slow.input_var(vi);
-        let fcof = fast.cofactor(froot, fv, value);
-        let scof = slow.cofactor(sroot, sv, value);
-        prop_assert_eq!(fcof, scof, "cofactor lits diverge");
-        prop_assert!(!fast.support_contains(fcof, fv));
-        for mask in 0..1u32 << N {
-            let mut asg: Vec<bool> = (0..N).map(|i| (mask >> i) & 1 != 0).collect();
-            asg[vi] = value;
-            prop_assert_eq!(fast.eval(fcof, &asg), slow.eval(scof, &asg));
-        }
-    }
-
-    /// Differential: the open-addressing strash answers every `and`
-    /// exactly like the reference `HashMap` table — same hit/miss
-    /// behaviour, so same literals and node counts — across growth
-    /// boundaries, and survives compaction.
-    #[test]
-    fn open_strash_matches_hashmap_strash(ops in ops_strategy(48)) {
-        let (open, oroot) = build_with(N, &ops, AigTuning {
-            open_strash: true,
-            ..AigTuning::reference()
-        });
-        let (href, hroot) = build_with(N, &ops, AigTuning::reference());
-        prop_assert_eq!(oroot, hroot);
-        prop_assert_eq!(open.num_nodes(), href.num_nodes());
-        // Compaction rebuilds the table. This tuning has no identity
-        // shortcut (reference scratch), so an identity compose re-issues
-        // every cone gate through `and` — each must strash back to the
-        // packed node instead of creating a duplicate.
-        let (mut packed, roots) = open.compact(&[oroot]);
+    fn strash_keeps_fanin_pairs_unique(ops in ops_strategy(48)) {
+        let (aig, root) = build(N, &ops);
+        prop_assert_eq!(duplicate_fanin_pair(&aig), None);
+        let (mut packed, roots) = aig.compact(&[root]);
+        prop_assert_eq!(duplicate_fanin_pair(&packed), None);
         let before = packed.num_nodes();
         let v = packed.input_var(0);
-        let again = packed.compose(roots[0], &[(v, v.lit())]);
-        prop_assert_eq!(again, roots[0]);
+        prop_assert_eq!(reference_compose(&mut packed, roots[0], &[(v, v.lit())]), roots[0]);
         prop_assert_eq!(packed.num_nodes(), before);
     }
 

@@ -11,7 +11,7 @@ use std::fmt;
 use std::time::Instant;
 
 use cbq_aig::sim::BitSim;
-use cbq_aig::{Aig, AigPerfCounters, AigTuning, Lit, Var};
+use cbq_aig::{Aig, Lit, Var};
 use cbq_cec::{sweep, MergeOrder, SweepConfig};
 use cbq_ckt::generators;
 use cbq_ckt::random::similar_pair;
@@ -898,12 +898,12 @@ pub fn e6pdr_table() -> Table {
 // ---------------------------------------------------------------------
 
 /// One [`ic3_gen_run`] row: (verdict, SAT checks, obligations, ternary
-/// drops, CTGs blocked, deep CTGs blocked, F_∞ clauses, ms).
-pub type GenRunRow = (Verdict, u64, u64, u64, u64, u64, u64, f64);
+/// drops, CTGs blocked, F_∞ clauses, ms).
+pub type GenRunRow = (Verdict, u64, u64, u64, u64, u64, f64);
 
 /// E6g kernel: one IC3 run at `gen`, surfacing the query-stream
 /// counters. Returns (verdict, SAT checks, obligations, ternary drops,
-/// CTGs blocked, deep CTGs blocked, F_∞ clauses, ms).
+/// CTGs blocked, F_∞ clauses, ms).
 pub fn ic3_gen_run(net: &Network, gen: GenMode, budget: &Budget) -> GenRunRow {
     let engine = Ic3 {
         gen,
@@ -918,7 +918,6 @@ pub fn ic3_gen_run(net: &Network, gen: GenMode, budget: &Budget) -> GenRunRow {
         d.obligations,
         d.tern_drops,
         d.ctg_blocked,
-        d.ctg_deep_blocked,
         d.inf_clauses,
         start.elapsed().as_secs_f64() * 1e3,
     )
@@ -943,10 +942,10 @@ pub fn e6g_suite() -> Vec<Network> {
 /// thesis says dominate the wall clock.
 pub fn e6g_table() -> Table {
     let mut t = Table::new(
-        "E6g — IC3 generalization ablation (core < drop < ternary < ctg < ctg-deep)",
+        "E6g — IC3 generalization ablation (core < drop < ternary < ctg)",
         &[
-            "circuit", "verdict", "chk core", "chk drop", "chk tern", "chk ctg", "chk deep",
-            "obl drop", "obl tern", "obl ctg", "tdrops", "ctg blk", "deep blk", "inf", "ms deep",
+            "circuit", "verdict", "chk core", "chk drop", "chk tern", "chk ctg", "obl drop",
+            "obl tern", "obl ctg", "tdrops", "ctg blk", "inf", "ms ctg",
         ],
     );
     let budget = e6_budget();
@@ -959,12 +958,12 @@ pub fn e6g_table() -> Table {
             v.is_safe() == runs[0].0.is_safe() && v.is_unsafe() == runs[0].0.is_unsafe()
         });
         let verdict = if agree {
-            verdict_cell(&runs[4].0)
+            verdict_cell(&runs[3].0)
         } else {
             format!(
                 "{} != {}",
                 verdict_cell(&runs[0].0),
-                verdict_cell(&runs[4].0)
+                verdict_cell(&runs[3].0)
             )
         };
         t.push(vec![
@@ -974,15 +973,13 @@ pub fn e6g_table() -> Table {
             runs[1].1.to_string(),
             runs[2].1.to_string(),
             runs[3].1.to_string(),
-            runs[4].1.to_string(),
             runs[1].2.to_string(),
             runs[2].2.to_string(),
             runs[3].2.to_string(),
-            runs[4].3.to_string(),
-            runs[4].4.to_string(),
-            runs[4].5.to_string(),
-            runs[4].6.to_string(),
-            format!("{:.1}", runs[4].7),
+            runs[3].3.to_string(),
+            runs[3].4.to_string(),
+            runs[3].5.to_string(),
+            format!("{:.1}", runs[3].6),
         ]);
     }
     t
@@ -1108,141 +1105,6 @@ pub fn e6i_table() -> Table {
             format!("{ms_off:.1}"),
             format!("{ms_trace:.1}"),
         ]);
-    }
-    t
-}
-
-// ---------------------------------------------------------------------
-// E6q — AIG-manager hot-path ablation (quantification tunings)
-// ---------------------------------------------------------------------
-
-/// The e6q tuning ladder: from the all-`HashMap` reference manager up to
-/// the full dense hot path, each rung enabling one more fast path in the
-/// order the implementation layers them (open-addressing strash, dense
-/// generation-stamped scratchpads, support-limited cofactoring, and the
-/// direct-mapped cofactor cache).
-pub fn e6q_rungs() -> [(&'static str, AigTuning); 5] {
-    [
-        ("hashmap", AigTuning::reference()),
-        (
-            "strash",
-            AigTuning {
-                open_strash: true,
-                ..AigTuning::reference()
-            },
-        ),
-        (
-            "scratch",
-            AigTuning {
-                open_strash: true,
-                dense_scratch: true,
-                ..AigTuning::reference()
-            },
-        ),
-        (
-            "support",
-            AigTuning {
-                cofactor_cache: false,
-                ..AigTuning::full()
-            },
-        ),
-        ("cache", AigTuning::full()),
-    ]
-}
-
-/// E6q kernel: one circuit-engine run with the given manager tuning
-/// installed as the process default (the engine creates managers
-/// internally, one per state-set partition). Restores the full tuning
-/// before returning. Returns (verdict, peak nodes, quantifier hot-path
-/// counters, ms).
-pub fn quant_tuning_run(
-    net: &Network,
-    tuning: AigTuning,
-    budget: &Budget,
-) -> (Verdict, usize, AigPerfCounters, f64) {
-    AigTuning::set_process_default(tuning);
-    // The engine quantifies inside a clone of the network's own manager
-    // (and clones preserve their source tuning), so the rung has to be
-    // installed on the network too, not just on fresh managers.
-    let mut net = net.clone();
-    net.aig_mut().set_tuning(tuning);
-    let start = Instant::now();
-    let run = CircuitUmc::default().check(&net, budget);
-    let elapsed = start.elapsed().as_secs_f64() * 1e3;
-    AigTuning::set_process_default(AigTuning::full());
-    let detail = run.detail::<CircuitUmcStats>().expect("circuit stats");
-    (
-        run.verdict.clone(),
-        detail.peak_nodes,
-        detail.quant_perf,
-        elapsed,
-    )
-}
-
-/// E6q: the manager hot-path ablation across the E6 suite. The claims:
-/// every rung reaches the *same* verdict with the same fixpoint
-/// iteration count or counterexample depth (a `!=` marker prints
-/// otherwise — the tunings are semantics-preserving by construction),
-/// and the `walk` columns — nodes visited by the quantifier's
-/// substitution walks, counted identically on the reference and dense
-/// paths — drop at the `support` rung: support limiting stops every
-/// cofactor walk at the substituted variable's node index instead of
-/// descending through the whole cone. `probes` counts strash *slots
-/// inspected* on the open table but *lookups* on the `HashMap` (whose
-/// per-probe cost includes hashing `RandomState` and chasing boxes), so
-/// it sizes each rung's table traffic rather than comparing across
-/// representations. `hits` is full-rung-only: unbudgeted engine runs
-/// never re-ask a (root, var, phase) cofactor, so the cache earns its
-/// keep under growth-budget aborts (e7), not here.
-pub fn e6q_table() -> Table {
-    let mut t = Table::new(
-        "E6q — AIG-manager hot-path ablation (hashmap < strash < scratch < support < cache)",
-        &[
-            "circuit",
-            "verdict",
-            "walk hashmap",
-            "walk strash",
-            "walk scratch",
-            "walk support",
-            "walk cache",
-            "probes ref",
-            "probes full",
-            "hits",
-            "ms hashmap",
-            "ms cache",
-            "peak",
-        ],
-    );
-    let budget = e6_budget();
-    for net in umc_suite() {
-        let runs: Vec<(Verdict, usize, AigPerfCounters, f64)> = e6q_rungs()
-            .iter()
-            .map(|(_, tuning)| quant_tuning_run(&net, *tuning, &budget))
-            .collect();
-        let agree = runs
-            .iter()
-            .all(|(v, ..)| verdict_cell(v) == verdict_cell(&runs[0].0));
-        let verdict = if agree {
-            verdict_cell(&runs[4].0)
-        } else {
-            format!(
-                "{} != {}",
-                verdict_cell(&runs[0].0),
-                verdict_cell(&runs[4].0)
-            )
-        };
-        let full = &runs[4];
-        let mut row = vec![net.name().to_string(), verdict];
-        for r in &runs {
-            row.push(r.2.scratch_walk_nodes.to_string());
-        }
-        row.push(runs[0].2.strash_probes.to_string());
-        row.push(full.2.strash_probes.to_string());
-        row.push(full.2.cofactor_cache_hits.to_string());
-        row.push(format!("{:.1}", runs[0].3));
-        row.push(format!("{:.1}", full.3));
-        row.push(full.1.to_string());
-        t.push(row);
     }
     t
 }
@@ -1600,7 +1462,6 @@ pub fn run_experiment(id: &str) -> Option<Table> {
         "e6pdr" => Some(e6pdr_table()),
         "e6g" => Some(e6g_table()),
         "e6i" => Some(e6i_table()),
-        "e6q" => Some(e6q_table()),
         "e6c" => Some(e6c_table()),
         "e6pp" => Some(e6pp_table()),
         "e7" => Some(e7_table()),
@@ -1611,9 +1472,9 @@ pub fn run_experiment(id: &str) -> Option<Table> {
 }
 
 /// All experiment ids in report order (`smoke` is CI-only and excluded).
-pub const EXPERIMENTS: [&str; 17] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e6s", "e6p", "e6a", "e6pdr", "e6g", "e6i", "e6q", "e6c",
-    "e6pp", "e7", "e8",
+pub const EXPERIMENTS: [&str; 16] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e6s", "e6p", "e6a", "e6pdr", "e6g", "e6i", "e6c", "e6pp",
+    "e7", "e8",
 ];
 
 #[cfg(test)]
@@ -1729,22 +1590,6 @@ mod tests {
         // an UNSAT unrolling (it asserts internally).
         let _ = proof_overhead_run(&generators::mutex(), 4);
         let _ = proof_overhead_run(&generators::mutex_bug(), 4);
-    }
-
-    #[test]
-    fn e6q_rungs_agree_on_tiny_models() {
-        let budget = Budget::unlimited().with_steps(100);
-        for net in [generators::mutex(), generators::mutex_bug()] {
-            let runs: Vec<(Verdict, usize, AigPerfCounters, f64)> = e6q_rungs()
-                .iter()
-                .map(|(_, tuning)| quant_tuning_run(&net, *tuning, &budget))
-                .collect();
-            for (v, ..) in &runs {
-                assert_eq!(verdict_cell(v), verdict_cell(&runs[0].0), "{}", net.name());
-            }
-            // The full rung actually drove the dense hot path.
-            assert!(runs[4].2.scratch_walk_nodes > 0, "{}", net.name());
-        }
     }
 
     #[test]

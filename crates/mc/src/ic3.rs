@@ -85,23 +85,11 @@ pub enum GenMode {
     /// [`Ic3::ctg_retries`].
     #[default]
     Ctg,
-    /// Plus *recursive* CTG blocking: a CTG that is itself not blocked
-    /// at the prior frame recurses on its own predecessor (depth-capped,
-    /// under a separate strike budget), so chains of almost-inductive
-    /// states are strengthened in one descent instead of being abandoned
-    /// after the first failed query.
-    CtgDeep,
 }
 
 impl GenMode {
     /// All modes, ablation order.
-    pub const ALL: [GenMode; 5] = [
-        GenMode::Core,
-        GenMode::Drop,
-        GenMode::Ternary,
-        GenMode::Ctg,
-        GenMode::CtgDeep,
-    ];
+    pub const ALL: [GenMode; 4] = [GenMode::Core, GenMode::Drop, GenMode::Ternary, GenMode::Ctg];
 
     /// The CLI-facing name (`--ic3-gen <name>`).
     pub fn name(self) -> &'static str {
@@ -110,7 +98,6 @@ impl GenMode {
             GenMode::Drop => "drop",
             GenMode::Ternary => "ternary",
             GenMode::Ctg => "ctg",
-            GenMode::CtgDeep => "ctg-deep",
         }
     }
 
@@ -194,9 +181,6 @@ pub struct Ic3Stats {
     /// Counterexamples-to-generalization blocked at a prior frame during
     /// literal dropping ([`GenMode::Ctg`]).
     pub ctg_blocked: u64,
-    /// CTGs blocked at recursion depth > 1 ([`GenMode::CtgDeep`]): the
-    /// CTG's own predecessor was blocked first, then the retry landed.
-    pub ctg_deep_blocked: u64,
     /// Clauses promoted to the `F_∞` frame (inductive outright; assumed
     /// by every future query).
     pub inf_clauses: u64,
@@ -319,10 +303,6 @@ struct Ic3Run<'a> {
     /// are never inductive pay a small bounded overhead instead of one
     /// extra query per failed literal drop.
     ctg_strikes: u32,
-    /// Consecutive failed *recursive* CTG descents ([`GenMode::CtgDeep`]
-    /// only); gated by [`CTG_DEEP_STRIKE_CAP`] like the flat counter, so
-    /// recursion-hostile models stop paying for the extra queries.
-    deep_strikes: u32,
     bus_cursor: BusCursor,
 }
 
@@ -330,14 +310,6 @@ struct Ic3Run<'a> {
 /// blocking. Small: a model whose counterexamples-to-generalization are
 /// inductive shows it immediately and keeps resetting the counter.
 const CTG_STRIKE_CAP: u32 = 4;
-
-/// Maximum nested CTG levels in [`GenMode::CtgDeep`] (the `try_drop`
-/// entry is depth 1, so this allows two further recursive descents).
-const CTG_DEEP_MAX_DEPTH: u32 = 3;
-
-/// Consecutive failed recursive descents tolerated before the run stops
-/// recursing (a deep success resets the counter).
-const CTG_DEEP_STRIKE_CAP: u32 = 4;
 
 /// Bundles the typed stats into the uniform run record.
 fn finish(verdict: Verdict, stats: Ic3Stats, peak_nodes: usize, meter: &Meter) -> McRun {
@@ -418,7 +390,6 @@ impl<'a> Ic3Run<'a> {
             seq: 0,
             retired_queries: 0,
             ctg_strikes: 0,
-            deep_strikes: 0,
             bus_cursor: BusCursor::default(),
         }
     }
@@ -643,59 +614,22 @@ impl<'a> Ic3Run<'a> {
     /// Blocks one counterexample-to-generalization: if the CTG state is
     /// itself blocked relative to the *prior* frame, its core-shrunk cube
     /// is recorded at `lvl` — strengthening `F_lvl` so the failed drop
-    /// can succeed on retry. Below [`GenMode::CtgDeep`] this is
-    /// deliberately minimal effort — no recursive drop loop and no eager
+    /// can succeed on retry. This is deliberately minimal effort — no
+    /// recursion into the CTG's own predecessor, no drop loop and no eager
     /// push-forward (the propagation phase moves the clause up one query
     /// per frame later, amortized), so a blocked CTG costs exactly one
     /// query plus the retry.
     fn block_ctg(&mut self, ctg: &[bool], lvl: usize) -> bool {
-        self.block_ctg_rec(ctg, lvl, 1)
-    }
-
-    /// The recursive worker: at [`GenMode::CtgDeep`], a CTG whose own
-    /// blocking query finds a predecessor recurses on that predecessor
-    /// one frame down — capped at [`CTG_DEEP_MAX_DEPTH`] levels, bounded
-    /// per level by the [`Ic3::ctg_retries`] budget, and gated by a
-    /// separate [`CTG_DEEP_STRIKE_CAP`] strike counter so
-    /// recursion-hostile models pay a small bounded overhead.
-    fn block_ctg_rec(&mut self, ctg: &[bool], lvl: usize, depth: u32) -> bool {
         let cube: Cube = ctg.iter().enumerate().map(|(ord, v)| (ord, *v)).collect();
-        let mut retries = self.cfg.ctg_retries.max(1);
-        loop {
-            match self.rel_query(&cube, lvl - 1) {
-                Rel::Blocked(keep) => {
-                    let shrunk = self.shrink(&cube, &keep, &cube);
-                    self.add_blocked(shrunk, lvl);
-                    self.stats.clauses += 1;
-                    self.stats.ctg_blocked += 1;
-                    if depth > 1 {
-                        self.stats.ctg_deep_blocked += 1;
-                        self.deep_strikes = 0;
-                    }
-                    return true;
-                }
-                Rel::Pred(pred, _)
-                    if self.cfg.gen >= GenMode::CtgDeep
-                        && depth < CTG_DEEP_MAX_DEPTH
-                        && lvl >= 2
-                        && retries > 0
-                        && self.deep_strikes < CTG_DEEP_STRIKE_CAP
-                        && pred != self.init_state =>
-                {
-                    retries -= 1;
-                    if !self.block_ctg_rec(&pred, lvl - 1, depth + 1) {
-                        self.deep_strikes += 1;
-                        return false;
-                    }
-                    // The prior frame now excludes the predecessor; retry.
-                }
-                _ => {
-                    if depth > 1 {
-                        self.deep_strikes += 1;
-                    }
-                    return false;
-                }
+        match self.rel_query(&cube, lvl - 1) {
+            Rel::Blocked(keep) => {
+                let shrunk = self.shrink(&cube, &keep, &cube);
+                self.add_blocked(shrunk, lvl);
+                self.stats.clauses += 1;
+                self.stats.ctg_blocked += 1;
+                true
             }
+            _ => false,
         }
     }
 
@@ -1237,6 +1171,28 @@ mod tests {
         }
     }
 
+    /// Pins the default configuration's query stream: SAT checks,
+    /// obligations and blocked CTGs on two models that exercise CTG
+    /// blocking. A change to any of these numbers changes what IC3 asks
+    /// the solver, so it has to be deliberate.
+    #[test]
+    fn default_query_stream_is_pinned() {
+        for (net, checks, obligations, ctg_blocked) in [
+            (generators::fifo_ctrl(6), 71, 9, 3),
+            (generators::bounded_counter_gap(6, 20, 50), 1460, 266, 1),
+        ] {
+            let run = Ic3::default().check(&net, &Budget::unlimited());
+            assert!(run.verdict.is_safe(), "{}", net.name());
+            let s = run.detail::<Ic3Stats>().expect("stats");
+            assert_eq!(
+                (s.cnf.checks, s.obligations, s.ctg_blocked),
+                (checks, obligations, ctg_blocked),
+                "{}: (checks, obligations, ctg_blocked) moved",
+                net.name()
+            );
+        }
+    }
+
     #[test]
     fn gen_mode_names_round_trip() {
         for mode in GenMode::ALL {
@@ -1245,39 +1201,6 @@ mod tests {
         assert_eq!(GenMode::parse("bogus"), None);
         assert_eq!(GenMode::default(), GenMode::Ctg);
         assert!(GenMode::Core < GenMode::Drop && GenMode::Ternary < GenMode::Ctg);
-        assert!(GenMode::Ctg < GenMode::CtgDeep);
-    }
-
-    #[test]
-    fn recursive_ctg_blocking_fires_and_preserves_verdicts() {
-        // lfsr5 and fifo3 both produce CTGs whose own predecessors need
-        // blocking; the deep rung must actually recurse there (counter
-        // strictly positive), must never run below CtgDeep, and the
-        // verdicts must match the flat-CTG rung exactly.
-        for net in [generators::lfsr(5, &[0, 2]), generators::fifo_ctrl(3)] {
-            let flat = Ic3 {
-                gen: GenMode::Ctg,
-                ..Ic3::default()
-            }
-            .check(&net, &Budget::unlimited());
-            let deep = Ic3 {
-                gen: GenMode::CtgDeep,
-                ..Ic3::default()
-            }
-            .check(&net, &Budget::unlimited());
-            assert_eq!(flat.verdict.is_safe(), deep.verdict.is_safe());
-            let s_flat = flat.detail::<Ic3Stats>().expect("stats");
-            let s_deep = deep.detail::<Ic3Stats>().expect("stats");
-            assert_eq!(
-                s_flat.ctg_deep_blocked, 0,
-                "flat CTG mode must never recurse"
-            );
-            assert!(
-                s_deep.ctg_deep_blocked > 0,
-                "{}: deep mode never blocked a depth>1 CTG",
-                net.name()
-            );
-        }
     }
 
     #[test]

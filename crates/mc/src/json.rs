@@ -175,7 +175,7 @@ pub fn run_to_json_fields(run: &McRun) -> String {
     } else if let Some(d) = run.detail::<Ic3Stats>() {
         detail = format!(
             ",\"frames\":{},\"obligations\":{},\"clauses\":{},\"pushed\":{},\
-             \"gen_drops\":{},\"tern_drops\":{},\"ctg_blocked\":{},\"ctg_deep_blocked\":{},\
+             \"gen_drops\":{},\"tern_drops\":{},\"ctg_blocked\":{},\
              \"inf_clauses\":{},\"subsumed\":{},\"seeded\":{},\"seed_rejected\":{},\
              \"lemma_count\":{},\"published\":{},\"bus\":{},\"solver\":{},\"cnf\":{}",
             d.frames,
@@ -185,7 +185,6 @@ pub fn run_to_json_fields(run: &McRun) -> String {
             d.gen_drops,
             d.tern_drops,
             d.ctg_blocked,
-            d.ctg_deep_blocked,
             d.inf_clauses,
             d.subsumed,
             d.seeded,

@@ -6,6 +6,12 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Requests and
+/// results nest at most 4 levels, so 64 leaves ample headroom while
+/// bounding the parser's recursion: one hostile line of a million `[`
+/// gets an `Err`, not a stack overflow that would abort the process.
+pub const MAX_DEPTH: usize = 64;
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -26,11 +32,13 @@ pub enum Json {
 }
 
 impl Json {
-    /// Parses one JSON value; trailing non-whitespace is an error.
+    /// Parses one JSON value; trailing non-whitespace and nesting deeper
+    /// than [`MAX_DEPTH`] are errors.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -118,6 +126,8 @@ impl fmt::Display for Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -155,12 +165,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(format!("unexpected `{}` at byte {}", c as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Parses one container a nesting level down, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -342,6 +367,23 @@ mod tests {
         for bad in ["", "{", "[1,", "\"x", "nul", "{\"a\"1}", "1 2", "{]"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        assert!(Json::parse(&format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        ))
+        .is_err());
+        // A million unclosed brackets must fail cleanly, not overflow the
+        // (small) test-thread stack.
+        assert!(Json::parse(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

@@ -173,6 +173,36 @@ fn protocol_errors_are_reported_not_fatal() {
 }
 
 #[test]
+fn deeply_nested_line_is_an_error_not_a_crash() {
+    let server = start(1);
+    let stream = TcpStream::connect(&server.addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut send_recv = |line: &str| -> Json {
+        let mut s = stream.try_clone().expect("clone");
+        s.write_all(line.as_bytes()).expect("send");
+        s.write_all(b"\n").expect("send");
+        let mut response = String::new();
+        reader.read_line(&mut response).expect("receive");
+        Json::parse(&response).expect("parseable response")
+    };
+
+    let deep = send_recv(&"[".repeat(1_000_000));
+    assert_eq!(deep.get("event").and_then(Json::as_str), Some("error"));
+    assert!(deep
+        .get("message")
+        .and_then(Json::as_str)
+        .expect("message")
+        .contains("nesting"));
+
+    // Same connection, same server: still answering.
+    let stats = send_recv("{\"cmd\":\"stats\"}");
+    assert_eq!(stats.get("event").and_then(Json::as_str), Some("stats"));
+    drop(reader);
+    drop(stream);
+    server.stop();
+}
+
+#[test]
 fn concurrent_submissions_all_complete() {
     let server = start(3);
     let addr = server.addr.clone();

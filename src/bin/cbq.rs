@@ -248,7 +248,7 @@ fn check_help() -> String {
     format!(
         "usage: cbq check <file.aag> [--engine E] [--sweep on|off]
                  [--quant-order O] [--partitions N|auto] [--split P]
-                 [--ic3-frames N] [--ic3-gen core|drop|ternary|ctg|ctg-deep]
+                 [--ic3-frames N] [--ic3-gen core|drop|ternary|ctg]
                  [--itp-frames N]
                  [--portfolio-par] [--portfolio-bus on|off]
                  [--steps N] [--nodes N] [--sat-checks N]
@@ -272,9 +272,8 @@ Model-checks the circuit's bad-state property.
                      core (unsat-core shrink only) | drop (+ literal
                      dropping) | ternary (+ ternary-simulation
                      predecessor widening) | ctg (+ counterexample-to-
-                     generalization blocking) | ctg-deep (+ recursive
-                     CTG descent with its own strike budget;
-                     ic3 engine; default: ctg)
+                     generalization blocking; ic3 engine;
+                     default: ctg)
   --itp-frames N     interpolation unrolling-depth safety net
                      (itp engine; default 64)
   --portfolio-par    run the portfolio members concurrently (scoped
@@ -393,8 +392,8 @@ fn cmd_check(args: &[String]) -> ExitCode {
                 Some(mode) => tuning.ic3_gen = Some(mode),
                 None => {
                     eprintln!(
-                        "flag `--ic3-gen` expects `core`, `drop`, `ternary`, `ctg` or \
-                         `ctg-deep`, got `{value}`"
+                        "unknown --ic3-gen mode `{value}` (expected one of: {})",
+                        cbq::mc::GenMode::ALL.map(|m| m.name()).join(", ")
                     );
                     return ExitCode::from(2);
                 }

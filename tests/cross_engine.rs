@@ -408,8 +408,7 @@ fn itp_agrees_with_circuit_engines_on_e6_family() {
 
 #[test]
 fn ic3_gen_modes_agree_on_e6_family() {
-    // The generalization ladder (core < drop < ternary < ctg < ctg-deep)
-    // only
+    // The generalization ladder (core < drop < ternary < ctg) only
     // changes how cubes shrink and how many queries run — never the
     // answer. Every mode must match the circuit engine's classification
     // on every E6 model, and every counterexample must replay both
@@ -470,14 +469,6 @@ fn ic3_gen_modes_agree_on_e6_family() {
                     detail.ctg_blocked,
                     0,
                     "{} ({mode}): CTG blocking ran below Ctg",
-                    net.name()
-                );
-            }
-            if mode < GenMode::CtgDeep {
-                assert_eq!(
-                    detail.ctg_deep_blocked,
-                    0,
-                    "{} ({mode}): recursive CTG blocking ran below CtgDeep",
                     net.name()
                 );
             }
