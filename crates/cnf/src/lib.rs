@@ -22,32 +22,43 @@
 //!   across GCs, reachability iterations, and partition re-splits. The
 //!   pre-activation behaviour (throw the solver away) is kept as
 //!   [`CnfLifetime::Rebuild`] for ablation;
-//! * while the database stays **definitional**, each check is answered
-//!   **inside its query's cone** ([`cbq_sat::Solver::solve_in_cone`]):
-//!   the bridge records every gate variable's two fanin variables at
-//!   encode time, and the solver decides and propagates (above level 0)
-//!   only within the fanin closure of the assumptions.
+//! * each check is answered **inside its query's domain**
+//!   ([`cbq_sat::Solver::solve_in_cone`]): the bridge records every gate
+//!   variable's two fanin variables at encode time and every variable
+//!   each caller guard's clauses mention, and the solver decides and
+//!   propagates (above level 0) only within the closure of the
+//!   assumptions under those edges.
 //!
 //! ## Cone-scoped checks: the soundness invariant
 //!
-//! A scoped check is sound when three things hold:
+//! A scoped check is sound when four things hold:
 //!
-//! * **definitional-only database** — Tseitin gates and
+//! * **definitional database plus guard groups** — Tseitin gates,
 //!   [`AigCnf::learn_equiv`] equivalences (which the gates already
-//!   imply), nothing else: no [`AigCnf::assert_lit`], no
-//!   [`AigCnf::new_guard`] / [`AigCnf::add_guarded_by`] group, no raw
-//!   [`AigCnf::solver_mut`] access, and the proof mode is off. The first
-//!   such call switches the bridge to whole-database solves for good;
+//!   imply), and caller guard groups ([`AigCnf::new_guard`] /
+//!   [`AigCnf::add_guarded_by`]), nothing else: no
+//!   [`AigCnf::assert_lit`], no raw [`AigCnf::solver_mut`] access, and
+//!   the proof mode is off. The first such call switches the bridge to
+//!   whole-database solves for good;
 //! * **fanin-closed domain** — the closure runs over *SAT* variables, so
 //!   a strash-collision loser that a surviving gate's clauses still name
 //!   after [`AigCnf::migrate`] is part of its parent's cone;
+//! * **guard-closed domain** — an assumed guard pulls every variable of
+//!   its clauses into the domain (with their fanin closure), so every
+//!   active guarded clause lies wholly inside it;
 //! * **unrestricted level 0** — level-0 propagation reaches every
 //!   variable, so facts implied by the whole database stay in force.
 //!
-//! Then any conflict-free assignment of the domain extends to a model of
-//! the whole database by evaluating the remaining gates, with inputs
-//! outside the cone at `false` — exactly what [`AigCnf::model_inputs`]
-//! reports for them.
+//! Then a conflict-free total assignment of the domain satisfies every
+//! active guarded clause, and it extends to a model of the whole
+//! database: every other gate takes the value of evaluating it, every
+//! unassumed guard is `false` (which satisfies its clauses), and inputs
+//! outside the domain take any value — `false` is what
+//! [`AigCnf::model_inputs`] reports for them. Learnt clauses are implied
+//! by the database, so the extended model satisfies them too. A domain
+//! that skipped the guard edges would be unsound: with clauses
+//! `¬g ∨ ¬a ∨ x` and `¬g ∨ ¬a ∨ ¬x`, `x` outside `a`'s cone, it would
+//! answer `g ∧ a` satisfiable.
 //!
 //! ## Example
 //!
@@ -185,9 +196,13 @@ pub struct AigCnf {
     /// variables ([`NO_FANIN`] otherwise): the domain walk of
     /// cone-scoped checks.
     fanins: Vec<[u32; 2]>,
-    /// Whether a non-definitional clause (asserted literal, caller guard
-    /// group, raw solver access) ever reached the database; from then on
-    /// every check solves the whole database.
+    /// Guard SAT variable index → the SAT variables its clauses mention,
+    /// sorted and deduplicated (empty for anything but a caller guard):
+    /// the guard edges of the cone-scoped domain walk.
+    guard_vars: Vec<Vec<u32>>,
+    /// Whether an unguarded non-definitional clause (asserted literal,
+    /// raw solver access) ever reached the database; from then on every
+    /// check solves the whole database.
     constrained: bool,
 }
 
@@ -292,6 +307,7 @@ impl AigCnf {
                 self.retired_solver.absorb(&snap);
                 self.solver = Solver::new();
                 self.fanins.clear();
+                self.guard_vars.clear();
                 self.act = None;
                 // Guard bookkeeping named the discarded solver's vars.
                 self.retired_guards.clear();
@@ -519,7 +535,6 @@ impl AigCnf {
     /// generations, exposed so engines can run many independent guarded
     /// lifetimes on one solver.
     pub fn new_guard(&mut self) -> SatLit {
-        self.constrained = true;
         let g = self.new_sat_var(NO_FANIN).pos();
         self.solver.set_decision(g.var(), false);
         self.live_guards += 1;
@@ -530,9 +545,21 @@ impl AigCnf {
     /// only while `guard` is assumed). The literals must already be SAT
     /// literals (e.g. from [`AigCnf::ensure`]); the clause is *not* tied
     /// to the bridge's own cone generation and survives
-    /// [`AigCnf::retire_cones`] until its guard is retired.
+    /// [`AigCnf::retire_cones`] until its guard is retired. The clause's
+    /// variables join the guard's domain edges, so a check assuming
+    /// `guard` stays cone-scoped.
     pub fn add_guarded_by(&mut self, guard: SatLit, clause: &[SatLit]) -> bool {
-        self.constrained = true;
+        let g = guard.var().index();
+        if self.guard_vars.len() <= g {
+            self.guard_vars.resize_with(g + 1, Vec::new);
+        }
+        let vars = &mut self.guard_vars[g];
+        for l in clause {
+            let v = l.var().index() as u32;
+            if let Err(at) = vars.binary_search(&v) {
+                vars.insert(at, v);
+            }
+        }
         let mut guarded = Vec::with_capacity(clause.len() + 1);
         guarded.push(!guard);
         guarded.extend_from_slice(clause);
@@ -592,6 +619,11 @@ impl AigCnf {
         }
         self.solver.purge_satisfied();
         let dead: Vec<_> = self.retired_guards.drain(..).map(|g| g.var()).collect();
+        for v in &dead {
+            if let Some(vars) = self.guard_vars.get_mut(v.index()) {
+                *vars = Vec::new();
+            }
+        }
         self.solver.recycle_vars(&dead);
     }
 
@@ -599,10 +631,11 @@ impl AigCnf {
     /// (guards from [`AigCnf::new_guard`], literals from
     /// [`AigCnf::ensure`]) appended after the encoded `lits`. The current
     /// cone generation's activation literal is assumed implicitly, and the
-    /// call counts as one check. While the database is definitional
+    /// call counts as one check. While the bridge is scoped
     /// ([`AigCnf::is_cone_scoped`]) the check is answered inside the
-    /// assumptions' cone ([`cbq_sat::Solver::solve_in_cone`]); a `Sat`
-    /// model then leaves inputs outside that cone unassigned, which
+    /// assumptions' domain — their fanin closure plus the clauses of
+    /// every assumed guard ([`cbq_sat::Solver::solve_in_cone`]); a `Sat`
+    /// model then leaves inputs outside that domain unassigned, which
     /// [`AigCnf::model_inputs`] reads as `false`. On
     /// [`SatResult::Unsat`] the solver's
     /// [`cbq_sat::Solver::failed_assumptions`] names a sufficient subset
@@ -625,7 +658,8 @@ impl AigCnf {
         assumptions.extend_from_slice(extra);
         self.stats.checks += 1;
         if self.is_cone_scoped() {
-            self.solver.solve_in_cone(&assumptions, &self.fanins)
+            self.solver
+                .solve_in_cone(&assumptions, &self.fanins, &self.guard_vars)
         } else {
             self.solver.solve_with(&assumptions)
         }
@@ -808,24 +842,66 @@ mod tests {
         assert_eq!(cnf.solve_under(&aig, &[x, !ins[0]]), SatResult::Sat);
         assert!(aig.eval(x2, &cnf.model_inputs(&aig)));
         assert_eq!(scoped(&cnf), before + 1);
-        // An asserted literal, a caller guard, or a proof log each switch
-        // the bridge to whole-database solves for good.
+        // A caller guard keeps the bridge scoped: a guarded query is
+        // answered inside the domain, and the model satisfies the group.
+        let mut guarded = AigCnf::new();
+        let _ = guarded.ensure(&aig, big);
+        let g = guarded.new_guard();
+        let s1 = guarded.ensure(&aig, ins[1]);
+        assert!(guarded.add_guarded_by(g, &[!s1]));
+        assert!(guarded.is_cone_scoped());
+        assert_eq!(
+            guarded.solve_under_assuming(&aig, &[ins[0]], &[g]),
+            SatResult::Sat
+        );
+        assert_eq!(scoped(&guarded), 1);
+        assert!(!guarded.model_inputs(&aig)[1]);
+        assert_eq!(
+            guarded.solve_under_assuming(&aig, &[f], &[g]),
+            SatResult::Unsat
+        );
+        assert_eq!(scoped(&guarded), 2);
+        // An asserted literal, raw solver access, or a proof log each
+        // switch the bridge to whole-database solves for good.
         let mut asserted = AigCnf::new();
         let _ = asserted.ensure(&aig, big);
         assert!(asserted.assert_lit(&aig, ins[7]));
-        let mut guarded = AigCnf::new();
-        let _ = guarded.ensure(&aig, big);
-        let _ = guarded.new_guard();
+        let mut raw = AigCnf::new();
+        let _ = raw.ensure(&aig, big);
+        let _ = raw.solver_mut();
         let mut proving = AigCnf::new();
         proving.set_proof_mode(ProofMode::Drat);
         let _ = proving.ensure(&aig, big);
-        for mut c in [asserted, guarded, proving] {
+        for mut c in [asserted, raw, proving] {
             assert!(!c.is_cone_scoped());
             assert_eq!(c.solve_under(&aig, &[f]), SatResult::Sat);
             c.retire_cones();
             assert_eq!(c.solve_under(&aig, &[f]), SatResult::Sat);
             assert_eq!(scoped(&c), 0);
         }
+    }
+
+    #[test]
+    fn guard_clauses_widen_the_domain() {
+        // Guard g activates ¬a ∨ x and ¬a ∨ ¬x with x outside a's cone:
+        // assuming g and a is unsatisfiable, and the scoped answer must
+        // say so. A domain without g's clause variables would answer Sat.
+        let mut aig = Aig::new();
+        let ins: Vec<Lit> = (0..8).map(|_| aig.add_input().lit()).collect();
+        let a = aig.and(ins[0], ins[1]);
+        let big = aig.and_many(&ins[3..]);
+        let mut cnf = AigCnf::new();
+        let _ = cnf.ensure(&aig, big);
+        let (sa, sx) = (cnf.ensure(&aig, a), cnf.ensure(&aig, ins[2]));
+        let g = cnf.new_guard();
+        assert!(cnf.add_guarded_by(g, &[!sa, sx]));
+        assert!(cnf.add_guarded_by(g, &[!sa, !sx]));
+        assert!(cnf.is_cone_scoped());
+        assert_eq!(cnf.solve_under_assuming(&aig, &[a], &[g]), SatResult::Unsat);
+        assert_eq!(cnf.solver_stats().scoped_solves, 1);
+        // Without the guard the group is off and `a` is satisfiable.
+        assert_eq!(cnf.solve_under(&aig, &[a]), SatResult::Sat);
+        assert_eq!(cnf.solver_stats().scoped_solves, 2);
     }
 
     #[test]

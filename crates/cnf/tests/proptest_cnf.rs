@@ -2,8 +2,8 @@
 //! lifetimes: a persistent [`AigCnf`] driven through add/solve/retire
 //! cycles must answer exactly like a fresh bridge at every step, in both
 //! lifetime modes, across manager compactions. A second workload pins
-//! cone-scoped checks against whole-database solves and the exhaustive
-//! reference solver.
+//! cone-scoped checks — caller guard groups included — against
+//! whole-database solves and the exhaustive reference solver.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use cbq_aig::{Aig, Lit, Node, Var};
 use cbq_cnf::{AigCnf, CnfLifetime, EquivResult};
 use cbq_sat::reference::ReferenceSolver;
-use cbq_sat::SatResult;
+use cbq_sat::{SatLit, SatResult};
 
 /// A recipe for building a random combinational cone over `N` inputs.
 #[derive(Clone, Debug)]
@@ -206,8 +206,15 @@ proptest! {
 /// One step of a scoped-solve workload.
 #[derive(Clone, Debug)]
 enum Step {
-    /// Solve under one to three pool literals (pool index, negated).
-    Query(Vec<(usize, bool)>),
+    /// Solve under one to three pool literals (pool index, negated),
+    /// assuming the live guards whose position bit is set in the mask.
+    Query(Vec<(usize, bool)>, u8),
+    /// Add a clause over one to three pool literals to a guard group: a
+    /// freshly opened guard, or the live guard the selector picks.
+    Guard(u8, Vec<(usize, bool)>),
+    /// Retire the live guard the selector picks (reclaiming retired
+    /// guard variables on odd selectors).
+    Unguard(u8),
     /// Prove two pool literals equivalent; a proven pair is learnt as an
     /// equivalence on the database, as the sweeping engines do.
     Equiv(usize, usize),
@@ -222,13 +229,16 @@ fn steps_strategy(max_steps: usize) -> impl Strategy<Value = Vec<Step>> {
     prop::collection::vec(
         (
             any::<u8>(),
+            any::<u8>(),
             prop::collection::vec((any::<usize>(), any::<bool>()), 1..=3),
         )
-            .prop_map(|(kind, lits)| match kind % 10 {
+            .prop_map(|(kind, pick, lits)| match kind % 14 {
                 0 => Step::Migrate,
                 1 => Step::Retire,
                 2 | 3 => Step::Equiv(lits[0].0, lits[lits.len() - 1].0),
-                _ => Step::Query(lits),
+                4..=6 => Step::Guard(pick, lits),
+                7 => Step::Unguard(pick),
+                _ => Step::Query(lits, pick),
             }),
         4..=max_steps,
     )
@@ -298,11 +308,13 @@ fn merge_compact(aig: &Aig, roots: &[Lit]) -> (Aig, Vec<Option<Lit>>, usize) {
     (out, map, collisions)
 }
 
-/// The reference solver's verdict on `lits`, over a fresh Tseitin
-/// encoding of their cone; `None` when the cone is too large to
+/// The reference solver's verdict on `lits` plus `clauses`, over a fresh
+/// Tseitin encoding of their cone; `None` when the cone is too large to
 /// enumerate quickly.
-fn reference_sat(aig: &Aig, lits: &[Lit]) -> Option<bool> {
-    let cone = aig.collect_cone(lits);
+fn reference_sat(aig: &Aig, lits: &[Lit], clauses: &[Vec<Lit>]) -> Option<bool> {
+    let mut roots = lits.to_vec();
+    roots.extend(clauses.iter().flatten());
+    let cone = aig.collect_cone(&roots);
     if cone.len() > 16 {
         return None;
     }
@@ -326,26 +338,49 @@ fn reference_sat(aig: &Aig, lits: &[Lit]) -> Option<bool> {
             }
         }
     }
+    for clause in clauses {
+        let c: Vec<_> = clause.iter().map(|&l| sat_lit(&var_of, l)).collect();
+        r.add_clause(&c);
+    }
     let assumptions: Vec<_> = lits.iter().map(|&l| sat_lit(&var_of, l)).collect();
     Some(r.solve_with(&assumptions) == SatResult::Sat)
 }
 
-/// Exhaustive satisfiability of a conjunction over all input assignments.
-fn oracle_sat_all(aig: &Aig, lits: &[Lit]) -> bool {
+/// Whether an input assignment satisfies every literal of `lits` and
+/// some literal of each clause.
+fn satisfies(aig: &Aig, asg: &[bool], lits: &[Lit], clauses: &[Vec<Lit>]) -> bool {
+    lits.iter().all(|&l| aig.eval(l, asg))
+        && clauses.iter().all(|c| c.iter().any(|&l| aig.eval(l, asg)))
+}
+
+/// Exhaustive satisfiability of a conjunction of literals and clauses
+/// over all input assignments.
+fn oracle_sat_all(aig: &Aig, lits: &[Lit], clauses: &[Vec<Lit>]) -> bool {
     (0..1u32 << N).any(|mask| {
         let asg: Vec<bool> = (0..N).map(|i| (mask >> i) & 1 != 0).collect();
-        lits.iter().all(|&l| aig.eval(l, &asg))
+        satisfies(aig, &asg, lits, clauses)
     })
 }
 
+/// A live caller guard group, opened identically on both bridges; its
+/// clauses are kept as AIG literals of the current manager.
+struct LiveGuard {
+    guard: SatLit,
+    twin_guard: SatLit,
+    clauses: Vec<Vec<Lit>>,
+}
+
 /// Scoped checks on random AIGs with shared sub-cones, interleaved with
-/// equivalence learning, migrations (strash collisions included) and
-/// retirements: every answer must equal the whole-database answer of a
-/// twin bridge driven identically, the reference solver's answer, and the
-/// exhaustive oracle; every model must satisfy the assumed literals.
+/// equivalence learning, migrations (strash collisions included),
+/// retirements and caller guard groups: every answer must equal the
+/// whole-database answer of a twin bridge driven identically, the
+/// reference solver's answer, and the exhaustive oracle over the inputs
+/// plus the assumed guards' clauses; every model must satisfy the
+/// assumed literals and every assumed guard's clauses.
 #[test]
 fn scoped_checks_agree_with_whole_database_solves() {
     let scoped = Cell::new(0u64);
+    let guarded_scoped = Cell::new(0u64);
     let collided = Cell::new(0usize);
     let mut runner = TestRunner::new(
         ProptestConfig::with_cases(64),
@@ -361,25 +396,85 @@ fn scoped_checks_agree_with_whole_database_solves() {
         let mut twin = AigCnf::new();
         let _ = twin.solver_mut();
         prop_assert!(cnf.is_cone_scoped() && !twin.is_cone_scoped());
+        let mut guards: Vec<LiveGuard> = Vec::new();
         for (k, step) in steps.iter().enumerate() {
             match step {
-                Step::Query(picks) => {
+                Step::Query(picks, mask) => {
                     let lits: Vec<Lit> = picks
                         .iter()
                         .map(|&(i, neg)| pool[i % pool.len()].xor_sign(neg))
                         .collect();
-                    let expect = oracle_sat_all(&aig, &lits);
-                    let got = cnf.solve_under(&aig, &lits);
+                    let assumed: Vec<&LiveGuard> = guards
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, _)| i < 8 && (mask >> i) & 1 == 1)
+                        .map(|(_, g)| g)
+                        .collect();
+                    let clauses: Vec<Vec<Lit>> = assumed
+                        .iter()
+                        .flat_map(|g| g.clauses.iter().cloned())
+                        .collect();
+                    let extra: Vec<SatLit> = assumed.iter().map(|g| g.guard).collect();
+                    let twin_extra: Vec<SatLit> = assumed.iter().map(|g| g.twin_guard).collect();
+                    let expect = oracle_sat_all(&aig, &lits, &clauses);
+                    let before = cnf.solver_stats().scoped_solves;
+                    let got = cnf.solve_under_assuming(&aig, &lits, &extra);
+                    if !clauses.is_empty() && cnf.solver_stats().scoped_solves > before {
+                        guarded_scoped.set(guarded_scoped.get() + 1);
+                    }
                     prop_assert_eq!(got.is_sat(), expect, "step {}: scoped vs oracle", k);
                     if got == SatResult::Sat {
                         let m = cnf.model_inputs(&aig);
-                        for &l in &lits {
-                            prop_assert!(aig.eval(l, &m), "step {}: model misses {:?}", k, l);
-                        }
+                        prop_assert!(
+                            satisfies(&aig, &m, &lits, &clauses),
+                            "step {}: model misses an assumption or a guarded clause",
+                            k
+                        );
                     }
-                    prop_assert_eq!(twin.solve_under(&aig, &lits), got, "step {}: twin", k);
-                    if let Some(r) = reference_sat(&aig, &lits) {
+                    prop_assert_eq!(
+                        twin.solve_under_assuming(&aig, &lits, &twin_extra),
+                        got,
+                        "step {}: twin",
+                        k
+                    );
+                    if let Some(r) = reference_sat(&aig, &lits, &clauses) {
                         prop_assert_eq!(r, expect, "step {}: reference", k);
+                    }
+                }
+                Step::Guard(pick, picks) => {
+                    let clause: Vec<Lit> = picks
+                        .iter()
+                        .map(|&(i, neg)| pool[i % pool.len()].xor_sign(neg))
+                        .collect();
+                    if guards.is_empty() || pick % 3 == 0 {
+                        guards.push(LiveGuard {
+                            guard: cnf.new_guard(),
+                            twin_guard: twin.new_guard(),
+                            clauses: Vec::new(),
+                        });
+                    }
+                    let at = *pick as usize % guards.len();
+                    let g = &mut guards[at];
+                    let added = cnf.add_guarded_clause_lits(&aig, g.guard, &clause);
+                    prop_assert_eq!(
+                        twin.add_guarded_clause_lits(&aig, g.twin_guard, &clause),
+                        added
+                    );
+                    // An identically false clause is not added at all.
+                    if added {
+                        g.clauses.push(clause);
+                    }
+                    prop_assert!(cnf.is_cone_scoped(), "step {}: a guard unscoped", k);
+                }
+                Step::Unguard(pick) => {
+                    if !guards.is_empty() {
+                        let g = guards.remove(*pick as usize % guards.len());
+                        cnf.retire_guard(g.guard);
+                        twin.retire_guard(g.twin_guard);
+                        if pick % 2 == 1 {
+                            cnf.reclaim_guards();
+                            twin.reclaim_guards();
+                        }
                     }
                 }
                 &Step::Equiv(i, j) => {
@@ -411,13 +506,25 @@ fn scoped_checks_agree_with_whole_database_solves() {
                     collided.set(collided.get() + collisions);
                     cnf.migrate(&map, packed.num_nodes());
                     twin.migrate(&map, packed.num_nodes());
-                    pool = pool
-                        .iter()
-                        .map(|l| map[l.var().index()].unwrap().xor_sign(l.is_complemented()))
-                        .collect();
+                    let remap =
+                        |l: &Lit| map[l.var().index()].unwrap().xor_sign(l.is_complemented());
+                    pool = pool.iter().map(remap).collect();
+                    // Guarded clauses keep their SAT variables, whose
+                    // functions the migrated manager still computes.
+                    for g in &mut guards {
+                        for c in &mut g.clauses {
+                            *c = c.iter().map(remap).collect();
+                        }
+                    }
                     aig = packed;
                 }
                 Step::Retire => {
+                    // Guarded clauses name the retired generation's
+                    // variables, so their groups go first.
+                    for g in guards.drain(..) {
+                        cnf.retire_guard(g.guard);
+                        twin.retire_guard(g.twin_guard);
+                    }
                     cnf.retire_cones();
                     twin.retire_cones();
                 }
@@ -430,6 +537,10 @@ fn scoped_checks_agree_with_whole_database_solves() {
     assert!(
         scoped.get() > 0,
         "no check was ever answered inside its cone"
+    );
+    assert!(
+        guarded_scoped.get() > 0,
+        "no guarded check was ever answered inside its domain"
     );
     assert!(
         collided.get() > 0,

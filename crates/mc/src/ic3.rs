@@ -26,6 +26,17 @@
 //!   `i..=k` — no clause is ever retracted, and retired per-query
 //!   strengthening clauses are reclaimed by the arena's satisfied-clause
 //!   purge, exactly like retired cone generations;
+//! * every query is answered inside its **domain**
+//!   ([`cbq_sat::Solver::solve_in_cone`]): the fanin closure of the
+//!   assumed next-state and bad cones plus the latches the assumed
+//!   frames' clauses mention. Latches no query depends on (a shadow
+//!   register, the far stations of a ring) are never decided; a latch
+//!   the model leaves unassigned reads as its reset value;
+//! * the solver holds **one clause per live lemma**: pushes and
+//!   subsumptions leave stale copies behind their lower frames' guards,
+//!   and once those outnumber the live lemmas a frame extension rebuilds
+//!   the finite frames under fresh guards from the delta-encoded
+//!   bookkeeping;
 //! * cube generalization reads the solver's
 //!   [`cbq_sat::Solver::failed_assumptions`] unsat core — each cube
 //!   literal is passed as its own assumption, so the core names the
@@ -297,6 +308,11 @@ struct Ic3Run<'a> {
     stats: Ic3Stats,
     seq: u64,
     retired_queries: u32,
+    /// Frame clauses added to the solver under the finite frame guards
+    /// since the last [`Ic3Run::compact_frames`] rebuild: one per
+    /// recorded cube, plus every stale copy a push or a subsumption left
+    /// behind.
+    frame_clauses: usize,
     /// Consecutive failed CTG block attempts. Each failure costs one
     /// wasted query; once the count hits [`CTG_STRIKE_CAP`] the run stops
     /// attempting CTG blocks (a success resets it), so models where CTGs
@@ -310,6 +326,12 @@ struct Ic3Run<'a> {
 /// blocking. Small: a model whose counterexamples-to-generalization are
 /// inductive shows it immediately and keeps resetting the counter.
 const CTG_STRIKE_CAP: u32 = 4;
+
+/// Slack of the frame-clause budget: once the solver holds more than
+/// `2 × live finite-frame cubes + FRAME_CLAUSE_SLACK` frame clauses,
+/// [`Ic3Run::compact_frames`] rebuilds the finite frames with one clause
+/// per live lemma. The slack keeps small runs from rebuilding at all.
+const FRAME_CLAUSE_SLACK: usize = 64;
 
 /// Bundles the typed stats into the uniform run record.
 fn finish(verdict: Verdict, stats: Ic3Stats, peak_nodes: usize, meter: &Meter) -> McRun {
@@ -389,6 +411,7 @@ impl<'a> Ic3Run<'a> {
             stats: Ic3Stats::default(),
             seq: 0,
             retired_queries: 0,
+            frame_clauses: 0,
             ctg_strikes: 0,
             bus_cursor: BusCursor::default(),
         }
@@ -414,16 +437,32 @@ impl<'a> Ic3Run<'a> {
         self.seq
     }
 
-    /// Model values of `vars` (all AIG inputs) after a SAT answer.
-    fn read(&self, vars: &[Var]) -> Vec<bool> {
-        let model = self.cnf.model_inputs(&self.aig);
-        vars.iter()
-            .map(|v| {
-                model[self
-                    .aig
-                    .input_index(*v)
-                    .expect("sequential var is an input")]
-            })
+    /// The model value of `v` after a SAT answer; `None` when the model
+    /// leaves it unassigned (never encoded, or outside the query's
+    /// domain — any value extends the model there).
+    fn model_value(&self, v: Var) -> Option<bool> {
+        self.cnf
+            .sat_lit(v.lit())
+            .and_then(|sl| self.cnf.solver().value_lit(sl))
+    }
+
+    /// The model's latch state after a SAT answer. A latch the model
+    /// leaves unassigned takes its reset value, so it never becomes the
+    /// ternary-widening anchor (the first latch off the reset state).
+    fn read_state(&self) -> Vec<bool> {
+        self.latches
+            .iter()
+            .zip(&self.init_state)
+            .map(|(&v, &init)| self.model_value(v).unwrap_or(init))
+            .collect()
+    }
+
+    /// The model's primary-input values after a SAT answer (`false`
+    /// where the model leaves an input unassigned).
+    fn read_inputs(&self) -> Vec<bool> {
+        self.pis
+            .iter()
+            .map(|&v| self.model_value(v).unwrap_or(false))
             .collect()
     }
 
@@ -513,7 +552,7 @@ impl<'a> Ic3Run<'a> {
         extra.extend_from_slice(&delta_sls);
         let result = self.cnf.solve_under_assuming(&self.aig, &[], &extra);
         let out = match result {
-            SatResult::Sat => Rel::Pred(self.read(&self.latches), self.read(&self.pis)),
+            SatResult::Sat => Rel::Pred(self.read_state(), self.read_inputs()),
             SatResult::Unsat => {
                 let failed = self.cnf.solver().failed_assumptions();
                 let keep = delta_sls.iter().map(|sl| failed.contains(sl)).collect();
@@ -740,9 +779,10 @@ impl<'a> Ic3Run<'a> {
     /// its clause is implied by the new, stronger clause) is dropped from
     /// the bookkeeping first, so propagation never re-pushes it. The
     /// subsumed solver clauses stay behind their frame guards (redundant
-    /// but sound); only the delta-encoding entries shrink, which keeps
-    /// the frame-emptiness fixpoint test exact: dropping an implied
-    /// clause changes no frame's semantics.
+    /// but sound) until [`Ic3Run::compact_frames`] drops them; only the
+    /// delta-encoding entries shrink, which keeps the frame-emptiness
+    /// fixpoint test exact: dropping an implied clause changes no frame's
+    /// semantics.
     fn add_blocked(&mut self, cube: Cube, lvl: usize) {
         if self.cfg.subsume {
             let stats = &mut self.stats;
@@ -756,11 +796,7 @@ impl<'a> Ic3Run<'a> {
                 });
             }
         }
-        let clause: Vec<SatLit> = cube
-            .iter()
-            .map(|&(ord, val)| !self.cnf.ensure(&self.aig, self.latch_lit(ord, val)))
-            .collect();
-        self.cnf.add_guarded_by(self.frames[lvl].act, &clause);
+        self.add_frame_clause(&cube, lvl);
         // Pushed frame clauses (level ≥ 2 — they survived at least one
         // propagation) go out on the lemma bus for the unrolling engines.
         // Consumers re-validate, so no inductiveness claim is made here.
@@ -772,6 +808,44 @@ impl<'a> Ic3Run<'a> {
             }
         }
         self.frames[lvl].cubes.push(cube);
+    }
+
+    /// Adds `cube`'s blocking clause `¬c` to the solver under frame
+    /// `lvl`'s guard.
+    fn add_frame_clause(&mut self, cube: &[(usize, bool)], lvl: usize) {
+        let clause: Vec<SatLit> = cube
+            .iter()
+            .map(|&(ord, val)| !self.cnf.ensure(&self.aig, self.latch_lit(ord, val)))
+            .collect();
+        self.cnf.add_guarded_by(self.frames[lvl].act, &clause);
+        self.frame_clauses += 1;
+    }
+
+    /// Drops the stale frame clauses once they outnumber the live ones:
+    /// every push leaves the old copy behind its lower frame's guard, and
+    /// every subsumed cube its clause, so past `2 × live +
+    /// FRAME_CLAUSE_SLACK` solver clauses the finite frames `1..=k` are
+    /// rebuilt — each gets a fresh guard, the old guards are retired and
+    /// reclaimed, and each recorded cube's clause is re-added once. The
+    /// delta-encoded bookkeeping is the source of truth, so no frame's
+    /// semantics changes; `F_∞`, the stats and the bus are untouched.
+    fn compact_frames(&mut self) {
+        let live: usize = self.frames[1..].iter().map(|f| f.cubes.len()).sum();
+        if self.frame_clauses <= 2 * live + FRAME_CLAUSE_SLACK {
+            return;
+        }
+        self.frame_clauses = 0;
+        for lvl in 1..self.frames.len() {
+            let fresh = self.cnf.new_guard();
+            let stale = std::mem::replace(&mut self.frames[lvl].act, fresh);
+            self.cnf.retire_guard(stale);
+            let cubes = std::mem::take(&mut self.frames[lvl].cubes);
+            for cube in &cubes {
+                self.add_frame_clause(cube, lvl);
+            }
+            self.frames[lvl].cubes = cubes;
+        }
+        self.cnf.reclaim_guards();
     }
 
     /// Absorbs sweep-proven node merges off the bus: each is re-proved
@@ -980,7 +1054,7 @@ impl<'a> Ic3Run<'a> {
             .solve_under_assuming(&self.aig, &[self.init_lit, self.bad], &[])
         {
             SatResult::Sat => {
-                let trace = Trace::new(vec![self.read(&self.pis)]);
+                let trace = Trace::new(vec![self.read_inputs()]);
                 return Verdict::Unsafe { trace };
             }
             SatResult::Unknown => {
@@ -1039,8 +1113,8 @@ impl<'a> Ic3Run<'a> {
                         }
                     }
                     SatResult::Sat => {
-                        let state = self.read(&self.latches);
-                        let inputs = self.read(&self.pis);
+                        let state = self.read_state();
+                        let inputs = self.read_inputs();
                         // `init ∧ bad` was refuted at depth 0.
                         debug_assert_ne!(state, self.init_state);
                         // Widen the root against `bad` itself: every
@@ -1069,7 +1143,7 @@ impl<'a> Ic3Run<'a> {
             self.absorb_merges();
             match self.propagate(meter) {
                 Ok(Some(fix)) => return Verdict::Safe { iterations: fix },
-                Ok(None) => {}
+                Ok(None) => self.compact_frames(),
                 Err(bounded) => return bounded,
             }
         }
@@ -1178,8 +1252,8 @@ mod tests {
     #[test]
     fn default_query_stream_is_pinned() {
         for (net, checks, obligations, ctg_blocked) in [
-            (generators::fifo_ctrl(6), 71, 9, 3),
-            (generators::bounded_counter_gap(6, 20, 50), 1460, 266, 1),
+            (generators::fifo_ctrl(6), 131, 13, 1),
+            (generators::bounded_counter_gap(6, 20, 50), 1459, 266, 1),
         ] {
             let run = Ic3::default().check(&net, &Budget::unlimited());
             assert!(run.verdict.is_safe(), "{}", net.name());
@@ -1190,6 +1264,71 @@ mod tests {
                 "{}: (checks, obligations, ctg_blocked) moved",
                 net.name()
             );
+        }
+    }
+
+    #[test]
+    fn queries_are_answered_inside_their_domain() {
+        // Shadow latches and the other ring stations lie outside most
+        // queries' domains: nearly every check must be answered scoped,
+        // not fall back to a whole-database solve.
+        for net in [
+            generators::shadowed_counter_gap(5, 10, 20, 32),
+            generators::token_ring(8),
+        ] {
+            let run = Ic3::default().check(&net, &Budget::unlimited());
+            assert!(run.verdict.is_safe(), "{}", net.name());
+            let s = run.detail::<Ic3Stats>().expect("stats");
+            assert!(
+                s.solver.scoped_solves * 10 >= s.cnf.checks * 9,
+                "{}: {} of {} checks scoped",
+                net.name(),
+                s.solver.scoped_solves,
+                s.cnf.checks
+            );
+        }
+    }
+
+    #[test]
+    fn solver_holds_one_clause_per_live_lemma() {
+        // Pushes and subsumptions leave stale frame clauses behind. The
+        // run compacts the frames at its extensions, and a compaction
+        // leaves exactly one solver clause per live lemma with every
+        // frame still blocking its recorded cubes.
+        let net = generators::bounded_counter_gap(6, 20, 50);
+        let cfg = Ic3::default();
+        let mut run = Ic3Run::new(&cfg, &net);
+        let verdict = run.solve(&Meter::start(&Budget::unlimited()));
+        assert!(verdict.is_safe(), "got {verdict}");
+        let s = &run.stats;
+        let every_copy = (s.clauses + s.pushed + s.seeded - s.inf_clauses) as usize;
+        assert!(
+            run.frame_clauses < every_copy,
+            "no stale frame clause was dropped during the run"
+        );
+        let live: usize = run.frames[1..].iter().map(|f| f.cubes.len()).sum();
+        let over = run.frame_clauses > 2 * live + FRAME_CLAUSE_SLACK;
+        let purged = run.cnf.solver_stats().purged;
+        run.compact_frames();
+        assert!(
+            run.frame_clauses <= 2 * live + FRAME_CLAUSE_SLACK,
+            "{} frame clauses for {live} live lemmas",
+            run.frame_clauses
+        );
+        if over {
+            assert_eq!(run.frame_clauses, live);
+            assert!(run.cnf.solver_stats().purged > purged, "nothing was purged");
+        }
+        for lvl in 1..run.frames.len() {
+            let guards: Vec<SatLit> = run.frames[lvl..].iter().map(|f| f.act).collect();
+            for cube in run.frames[lvl].cubes.clone() {
+                let lits: Vec<Lit> = cube.iter().map(|&(o, v)| run.latch_lit(o, v)).collect();
+                assert_eq!(
+                    run.cnf.solve_under_assuming(&run.aig, &lits, &guards),
+                    SatResult::Unsat,
+                    "F_{lvl} lost the clause of {cube:?}"
+                );
+            }
         }
     }
 

@@ -22,9 +22,10 @@
 //! * **incremental solving under assumptions** ([`Solver::solve_with`]):
 //!   the clause database (including learnt clauses) persists across calls,
 //!   so successive equivalence checks share everything already derived,
-//! * **cone-scoped solves** ([`Solver::solve_in_cone`]) for definitional
-//!   (Tseitin) databases: decisions and propagation above level 0 stay
-//!   inside the fanin closure of the assumptions,
+//! * **cone-scoped solves** ([`Solver::solve_in_cone`]) for Tseitin
+//!   databases with guarded clause groups: decisions and propagation
+//!   above level 0 stay inside the fanin closure of the assumptions and
+//!   of the clauses their guards activate,
 //! * failed-assumption extraction ([`Solver::failed_assumptions`]) and
 //!   **per-call** conflict budgets ([`Solver::set_conflict_budget`]) for
 //!   abortable checks,

@@ -21,9 +21,10 @@
 //!   bounds each `solve`/`solve_with` call independently: every call gets
 //!   the full budget, nothing leaks from earlier calls.
 //! * **Cone-scoped solves** — [`Solver::solve_in_cone`] decides and
-//!   propagates (above level 0) only inside the fanin closure of the
-//!   assumptions, for purely definitional databases; see its doc for the
-//!   soundness invariant.
+//!   propagates (above level 0) only inside the assumptions' domain: the
+//!   fanin closure of the assumptions, widened by every variable of the
+//!   clauses an assumed guard activates; see its doc for the soundness
+//!   invariant.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -1192,40 +1193,61 @@ impl Solver {
         }
     }
 
-    /// Solves under `assumptions` inside their cone: the solver decides
-    /// only variables of the *domain* — the closure of the assumption
-    /// variables under `fanins` (`fanins[v]` names the two fanin
-    /// variables of gate variable `v`, [`NO_FANIN`] for anything else) —
-    /// never enqueues an out-of-domain literal above decision level 0,
-    /// and answers [`SatResult::Sat`] once every domain decision variable
-    /// is assigned. Level 0 stays unrestricted. Out-of-domain variables
-    /// are left unassigned by the model unless level 0 fixed them. The
-    /// domain is stamped per variable, so the walk allocates nothing once
-    /// the scratch buffers are warm.
+    /// Solves under `assumptions` inside their *domain*: the solver
+    /// decides only domain variables, never enqueues an out-of-domain
+    /// literal above decision level 0, and answers [`SatResult::Sat`]
+    /// once every domain decision variable is assigned. Level 0 stays
+    /// unrestricted. The domain is the closure of the assumption
+    /// variables under two kinds of edge:
     ///
-    /// **Soundness invariant** (the caller's obligation):
+    /// * `fanins[v]` names the two fanin variables of gate variable `v`
+    ///   ([`NO_FANIN`] for anything else);
+    /// * `guard_vars[g]` lists every variable of the clauses guarded by
+    ///   guard variable `g` (empty, or past the end of the slice, for
+    ///   anything else).
     ///
-    /// * the database is *definitional*: every clause is a gate
-    ///   definition `v ≡ a ∧ b` over the variables `fanins` records for
-    ///   `v` (possibly under an activation literal that is assumed), a
-    ///   constant, a clause implied by those definitions (proven
-    ///   equivalences, learnt clauses), or satisfied at level 0;
-    /// * `fanins` is exact for every gate variable a clause defines.
+    /// Out-of-domain variables are left unassigned by the model unless
+    /// level 0 fixed them. The domain is stamped per variable, so the
+    /// walk allocates nothing once the scratch buffers are warm.
     ///
-    /// Then the domain is fanin-closed, so a conflict-free total
-    /// assignment of it fixes the value of every domain gate as a
-    /// function of the domain's free variables; evaluating every other
-    /// gate on those values (any value for out-of-domain free variables)
-    /// extends it to a model of the whole database. `Unsat` answers need
-    /// no argument: scoping only withholds implications, and every
-    /// learnt clause is still derived by resolution.
+    /// **Soundness invariant** (the caller's obligation). Every clause is
+    /// one of:
+    ///
+    /// * a gate definition `v ≡ a ∧ b` over the variables `fanins`
+    ///   records for `v` (possibly under an activation literal that is
+    ///   assumed), a constant, or a clause implied by those definitions
+    ///   (proven equivalences, learnt clauses);
+    /// * a *guarded* clause `¬g ∨ C` whose guard `g` occurs in no clause
+    ///   positively and whose variables are all listed in `guard_vars[g]`;
+    /// * satisfied at level 0.
+    ///
+    /// `fanins` must be exact for every gate variable a clause defines.
+    /// Then a conflict-free total assignment of the domain satisfies
+    /// every clause whose variables all lie in the domain — the gate
+    /// definitions of domain gates and every clause of an assumed guard
+    /// among them. It extends to a model of the whole database: every
+    /// other gate takes the value of evaluating it, every unassumed guard
+    /// is set to `false` (which satisfies its clauses), and the remaining
+    /// free variables take any value. Learnt clauses are implied by the
+    /// database, so the extended model satisfies them too. `Unsat`
+    /// answers need no argument: scoping only withholds implications,
+    /// and every learnt clause is still derived by resolution.
+    ///
+    /// Skipping the guard edges is unsound: with clauses `¬g ∨ ¬a ∨ x`
+    /// and `¬g ∨ ¬a ∨ ¬x`, `x` outside `a`'s cone, the assumptions
+    /// `g, a` are unsatisfiable, but a domain without `x` answers `Sat`.
     ///
     /// A domain holding more than half of the variable table is not
     /// worth scoping: the walk stops there and the call solves exactly
     /// as [`Solver::solve_with`]. Calls answered in the domain are
     /// counted in [`SolverStats::scoped_solves`].
-    pub fn solve_in_cone(&mut self, assumptions: &[SatLit], fanins: &[[u32; 2]]) -> SatResult {
-        if !self.mark_cone(assumptions, fanins) {
+    pub fn solve_in_cone(
+        &mut self,
+        assumptions: &[SatLit],
+        fanins: &[[u32; 2]],
+        guard_vars: &[Vec<u32>],
+    ) -> SatResult {
+        if !self.mark_cone(assumptions, fanins, guard_vars) {
             return self.solve_with(assumptions);
         }
         self.stats.scoped_solves += 1;
@@ -1236,9 +1258,15 @@ impl Solver {
         r
     }
 
-    /// Stamps the fanin closure of the assumption variables into
-    /// `cone_vars`; `false` once it passes half the variable table.
-    fn mark_cone(&mut self, assumptions: &[SatLit], fanins: &[[u32; 2]]) -> bool {
+    /// Stamps the closure of the assumption variables under the fanin
+    /// and guard edges into `cone_vars`; `false` once it passes half the
+    /// variable table.
+    fn mark_cone(
+        &mut self,
+        assumptions: &[SatLit],
+        fanins: &[[u32; 2]],
+        guard_vars: &[Vec<u32>],
+    ) -> bool {
         self.cone_token = self.cone_token.wrapping_add(1);
         if self.cone_token == 0 {
             self.cone_stamp.fill(0);
@@ -1261,11 +1289,9 @@ impl Solver {
             }
             let v = self.cone_vars[next] as usize;
             next += 1;
-            let Some(&pair) = fanins.get(v) else { continue };
-            if pair == NO_FANIN {
-                continue;
-            }
-            for f in pair {
+            let pair = fanins.get(v).filter(|&&p| p != NO_FANIN);
+            let clause_vars = guard_vars.get(v).map_or(&[][..], Vec::as_slice);
+            for &f in pair.into_iter().flatten().chain(clause_vars) {
                 if self.cone_stamp[f as usize] != token {
                     self.cone_stamp[f as usize] = token;
                     self.cone_vars.push(f);
@@ -1757,23 +1783,51 @@ mod tests {
         fanins[g.index()] = [a.0, b.0];
         fanins[h.index()] = [c.0, d.0];
         // SAT inside g's cone: h's cone is never touched.
-        assert_eq!(s.solve_in_cone(&[g.pos()], &fanins), SatResult::Sat);
+        assert_eq!(s.solve_in_cone(&[g.pos()], &fanins, &[]), SatResult::Sat);
         assert_eq!((s.value(a), s.value(b)), (Some(true), Some(true)));
         assert_eq!((s.value(c), s.value(d), s.value(h)), (None, None, None));
         // UNSAT inside the cone.
         assert_eq!(
-            s.solve_in_cone(&[g.pos(), a.neg()], &fanins),
+            s.solve_in_cone(&[g.pos(), a.neg()], &fanins, &[]),
             SatResult::Unsat
         );
         assert_eq!(s.stats().scoped_solves, 2);
         s.check_watches_dbg("after scoped solves");
         // A domain past half the variable table solves as `solve_with`.
         assert_eq!(
-            s.solve_in_cone(&[g.pos(), h.neg()], &fanins),
+            s.solve_in_cone(&[g.pos(), h.neg()], &fanins, &[]),
             SatResult::Sat
         );
         assert_eq!(s.stats().scoped_solves, 2);
         assert!(s.value(c).is_some() && s.value(h) == Some(false));
+    }
+
+    #[test]
+    fn guard_edges_pull_clause_variables_into_the_domain() {
+        // Guard q activates ¬a ∨ x and ¬a ∨ ¬x, with x outside a's cone
+        // (a has no fanins): assuming q and a is unsatisfiable only if the
+        // domain walks q's clause variables.
+        let mut s = Solver::new();
+        let v = vars(&mut s, 8);
+        let (a, x, q) = (v[0], v[1], v[2]);
+        s.add_clause(&[q.neg(), a.neg(), x.pos()]);
+        s.add_clause(&[q.neg(), a.neg(), x.neg()]);
+        s.set_decision(q, false);
+        let fanins = vec![NO_FANIN; 8];
+        let mut guard_vars = vec![Vec::new(); 3];
+        guard_vars[q.index()] = vec![a.0, x.0];
+        assert_eq!(
+            s.solve_in_cone(&[q.pos(), a.pos()], &fanins, &guard_vars),
+            SatResult::Unsat
+        );
+        assert_eq!(s.stats().scoped_solves, 1);
+        // Unassumed, the guard's clauses neither constrain nor widen.
+        assert_eq!(
+            s.solve_in_cone(&[a.pos()], &fanins, &guard_vars),
+            SatResult::Sat
+        );
+        assert_eq!((s.value(x), s.value(q)), (None, None));
+        assert_eq!(s.stats().scoped_solves, 2);
     }
 
     #[test]
